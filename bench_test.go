@@ -159,6 +159,35 @@ func BenchmarkMemHEFT10000(b *testing.B) { benchScheduler(b, core.MemHEFT, 10000
 // near the ready-set width instead of a full re-evaluation.
 func BenchmarkMemMinMin3000(b *testing.B) { benchScheduler(b, core.MemMinMin, 3000, 0.7) }
 
+// BenchmarkMemoryPeaks3000 measures the finalize pass the service runs on
+// every fresh result: the exact per-memory peak sweep over the file
+// residencies of a 3000-task MemHEFT schedule.
+func BenchmarkMemoryPeaks3000(b *testing.B) {
+	params := daggen.LargeParams()
+	params.Size = 3000
+	g, err := daggen.Generate(params, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := experiments.RandomPlatform()
+	_, peak, err := experiments.HEFTReference(tctx, g, p, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bound := int64(0.7 * float64(peak))
+	s, err := core.MemHEFT(tctx, g, p.WithBounds(bound, bound), core.Options{Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if blue, red := s.MemoryPeaks(); blue > bound || red > bound {
+			b.Fatalf("peaks (%d,%d) over the bound %d", blue, red, bound)
+		}
+	}
+}
+
 // BenchmarkMemHEFTReference300 and BenchmarkMemMinMinReference300 run the
 // retained naive oracles on the 300-task instance, pinning the speedup of
 // the incremental paths (the golden-equivalence tests prove the schedules

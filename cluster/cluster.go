@@ -12,7 +12,8 @@
 // replicas' caches behaves like one cache N times the size.
 //
 // Router (NewRouter) is the data path: it extracts the routing key with
-// serve.RoutingKey, resolves the owning replica on the ring, and
+// a serve.KeyCache (serve.RoutingKey, memoized by each inline graph's
+// wire digest), resolves the owning replica on the ring, and
 // reverse-proxies the request, streaming sweep NDJSON through without
 // buffering. A health checker probes every replica's /healthz with
 // hysteresis; routing falls over to the key's next ring owner when the

@@ -452,3 +452,58 @@ func TestClusterClient(t *testing.T) {
 		t.Fatalf("graph resident on %d replicas, want exactly 1", holders)
 	}
 }
+
+// TestRouterKeyCache sends the same inline bodies through the router
+// repeatedly: after the first pass the routing key comes from the
+// router's wire-digest cache, every request still lands on the owner of
+// serve.GraphKey's key (one session per graph cluster-wide, all hits after
+// the first), and the router exports the cache's hits.
+func TestRouterKeyCache(t *testing.T) {
+	ids := []string{"a", "b", "c"}
+	_, _, routerURL, reps := startCluster(t, ids, nil, cluster.Config{})
+	const graphs, rounds = 5, 3
+	keys := make([]string, graphs)
+	bodies := make([]string, graphs)
+	for i := range bodies {
+		raw, err := json.Marshal(randGraph(t, 40, int64(100+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keys[i], err = serve.GraphKey(raw, nil); err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = `{"graph": ` + string(raw) + `, "pools": [{"procs": 2}, {"procs": 2}]}`
+	}
+	for r := 0; r < rounds; r++ {
+		for i, body := range bodies {
+			resp, err := http.Post(routerURL+"/v1/schedule", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sr serve.ScheduleResponse
+			err = json.NewDecoder(resp.Body).Decode(&sr)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("round %d graph %d: HTTP %d %v", r, i, resp.StatusCode, err)
+			}
+			if sr.GraphID != keys[i] || sr.SessionCached != (r > 0) {
+				t.Fatalf("round %d graph %d: id %q cached=%v, want id %q cached=%v", r, i, sr.GraphID, sr.SessionCached, keys[i], r > 0)
+			}
+		}
+	}
+	owned := make(map[string]int)
+	for _, key := range keys {
+		owned[ownerOf(t, ids, key)]++
+	}
+	for id, rep := range reps {
+		if st := rep.srv.Stats(); st.SessionsCached != owned[id] {
+			t.Fatalf("replica %s holds %d sessions, owns %d graphs", id, st.SessionsCached, owned[id])
+		}
+	}
+	if hits := scrapeMetric(t, routerURL, "memschedd_router_key_cache_hits_total", ""); hits != graphs*(rounds-1) {
+		t.Fatalf("router key cache hits = %g, want %d", hits, graphs*(rounds-1))
+	}
+	if misses := scrapeMetric(t, routerURL, "memschedd_router_key_cache_misses_total", ""); misses != graphs {
+		t.Fatalf("router key cache misses = %g, want %d", misses, graphs)
+	}
+}

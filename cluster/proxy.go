@@ -114,13 +114,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// keyCacheSize bounds the router's routing-key cache. An entry is a
+// 32-byte digest and a 64-character key, so the bound costs well under a
+// megabyte while covering far more distinct inline graphs than replica
+// session caches hold.
+const keyCacheSize = 4096
+
 // Router is the cluster's cache-affinity reverse proxy: one address that
 // shards /v1 traffic across a memschedd replica set by canonical graph
 // hash over a consistent-hash ring.
 //
 // Routing policy, in order:
 //
-//   - The request's key (serve.RoutingKey) picks its ring owner; requests
+//   - The request's key (serve.RoutingKey, memoized per inline graph's
+//     wire bytes in a serve.KeyCache) picks its ring owner; requests
 //     with no extractable key (invalid bodies, plain GETs) round-robin
 //     over routable replicas instead.
 //   - Bounded load: an owner already carrying more than LoadFactor times
@@ -150,6 +157,7 @@ type Router struct {
 	load     map[string]*atomic.Int64 // in-flight forwards by replica id
 	inFlight atomic.Int64
 	client   *http.Client
+	keys     *serve.KeyCache // routing keys of inline graphs, by wire digest
 	handler  http.Handler
 	rr       atomic.Uint64
 	start    time.Time
@@ -185,6 +193,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		prom:   newRouterMetrics(),
 		load:   load,
 		client: &http.Client{Transport: cfg.Transport},
+		keys:   serve.NewKeyCache(keyCacheSize),
 		start:  time.Now(),
 		ready:  make(chan struct{}),
 	}
@@ -340,8 +349,9 @@ func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request) {
 	}
 	// An unextractable key (malformed body, invalid graph) still
 	// forwards — unrouted — so the serving replica produces the
-	// structured 4xx the client expects.
-	key, portable, _ := serve.RoutingKey(body)
+	// structured 4xx the client expects. Inline graphs whose exact bytes
+	// were keyed before skip the graph decode.
+	key, portable, _ := rt.keys.RoutingKey(body)
 	if r.URL.Path == "/v1/graphs" {
 		// Registration creates the replica-local session future graph_id
 		// requests route to by this same key; spilling it to a

@@ -1,8 +1,10 @@
 package multi
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dag"
@@ -110,31 +112,87 @@ func (s *Schedule) residencies() []residency {
 	return rs
 }
 
-// MemoryPeaks returns the peak usage of every pool.
-func (s *Schedule) MemoryPeaks() []int64 {
-	type event struct {
-		t     float64
-		delta int64
-	}
-	evs := make([][]event, s.Platform.NumPools())
-	for _, r := range s.residencies() {
-		evs[r.pool] = append(evs[r.pool], event{r.from, r.size}, event{r.to, -r.size})
-	}
-	peaks := make([]int64, s.Platform.NumPools())
-	for k := range evs {
-		sort.Slice(evs[k], func(i, j int) bool {
-			if math.Abs(evs[k][i].t-evs[k][j].t) > Eps {
-				return evs[k][i].t < evs[k][j].t
-			}
-			return evs[k][i].delta < evs[k][j].delta
-		})
-		var cur int64
-		for _, e := range evs[k] {
-			cur += e.delta
-			if cur > peaks[k] {
-				peaks[k] = cur
-			}
+// peakEvent is one residency boundary of the MemoryPeaks sweep: +size when
+// a file's interval opens, -size when it closes.
+type peakEvent struct {
+	t     float64
+	delta int64
+}
+
+// comparePeakEvents orders sweep events by time, treating times within Eps
+// as equal and then putting releases before acquisitions.
+func comparePeakEvents(a, b peakEvent) int {
+	if math.Abs(a.t-b.t) > Eps {
+		if a.t < b.t {
+			return -1
 		}
+		return 1
+	}
+	return cmp.Compare(a.delta, b.delta)
+}
+
+// sweepPeak sorts one pool's events and returns the highest running sum.
+func sweepPeak(evs []peakEvent) int64 {
+	slices.SortFunc(evs, comparePeakEvents)
+	var cur, peak int64
+	for _, e := range evs {
+		cur += e.delta
+		if cur > peak {
+			peak = cur
+		}
+	}
+	return peak
+}
+
+// MemoryPeaks returns the peak usage of every pool. It sweeps the
+// residency intervals of residencies as open/close events per pool, built
+// straight into one presized buffer in the same order residencies would
+// list them.
+func (s *Schedule) MemoryPeaks() []int64 {
+	g := s.Inst.G
+	k := s.Platform.NumPools()
+	pool := make([]int, g.NumTasks())
+	finish := make([]float64, g.NumTasks())
+	for i := range s.Tasks {
+		pool[i] = s.PoolOf(dag.TaskID(i))
+		finish[i] = s.Tasks[i].Start + s.Inst.Time(dag.TaskID(i), pool[i])
+	}
+	edges := g.Edges()
+	offs := make([]int, k+1)
+	for _, edge := range edges {
+		if edge.File == 0 {
+			continue
+		}
+		offs[pool[edge.From]+1] += 2
+		if pool[edge.From] != pool[edge.To] {
+			offs[pool[edge.To]+1] += 2
+		}
+	}
+	for p := 1; p <= k; p++ {
+		offs[p] += offs[p-1]
+	}
+	buf := make([]peakEvent, offs[k])
+	evs := make([][]peakEvent, k)
+	for p := range evs {
+		evs[p] = buf[offs[p]:offs[p]:offs[p+1]]
+	}
+	for e, edge := range edges {
+		if edge.File == 0 {
+			continue
+		}
+		src, dst := pool[edge.From], pool[edge.To]
+		prodStart := s.Tasks[edge.From].Start
+		if src == dst {
+			evs[src] = append(evs[src], peakEvent{prodStart, edge.File}, peakEvent{finish[edge.To], -edge.File})
+			continue
+		}
+		tau := s.CommStart[e]
+		evs[src] = append(evs[src], peakEvent{prodStart, edge.File}, peakEvent{tau + edge.Comm, -edge.File})
+		evs[dst] = append(evs[dst], peakEvent{tau, edge.File}, peakEvent{finish[edge.To], -edge.File})
+	}
+	peaks := make([]int64, k)
+	for p, pe := range evs {
+		peaks[p] = sweepPeak(pe)
 	}
 	return peaks
 }

@@ -7,8 +7,10 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dag"
@@ -151,35 +153,78 @@ func (s *Schedule) residencies() []residency {
 	return rs
 }
 
-// MemoryPeaks returns the peak usage of the blue and red memories over the
-// whole schedule (the paper's Ms_blue and Ms_red).
-func (s *Schedule) MemoryPeaks() (blue, red int64) {
-	type event struct {
-		t     float64
-		delta int64
+// peakEvent is one residency boundary of the MemoryPeaks sweep: +size when
+// a file's interval opens, -size when it closes.
+type peakEvent struct {
+	t     float64
+	delta int64
+}
+
+// comparePeakEvents orders sweep events by time, treating times within Eps
+// as equal and then putting releases before acquisitions.
+func comparePeakEvents(a, b peakEvent) int {
+	if math.Abs(a.t-b.t) > Eps {
+		if a.t < b.t {
+			return -1
+		}
+		return 1
 	}
-	var evs [2][]event
-	for _, r := range s.residencies() {
-		evs[r.mem] = append(evs[r.mem], event{r.from, r.size}, event{r.to, -r.size})
-	}
-	peaks := [2]int64{}
-	for m := range evs {
-		sort.Slice(evs[m], func(i, j int) bool {
-			ti, tj := evs[m][i].t, evs[m][j].t
-			if math.Abs(ti-tj) > Eps {
-				return ti < tj
-			}
-			return evs[m][i].delta < evs[m][j].delta // releases before acquisitions
-		})
-		var cur int64
-		for _, e := range evs[m] {
-			cur += e.delta
-			if cur > peaks[m] {
-				peaks[m] = cur
-			}
+	return cmp.Compare(a.delta, b.delta)
+}
+
+// sweepPeak sorts one memory's events and returns the highest running sum.
+func sweepPeak(evs []peakEvent) int64 {
+	slices.SortFunc(evs, comparePeakEvents)
+	var cur, peak int64
+	for _, e := range evs {
+		cur += e.delta
+		if cur > peak {
+			peak = cur
 		}
 	}
-	return peaks[0], peaks[1]
+	return peak
+}
+
+// MemoryPeaks returns the peak usage of the blue and red memories over the
+// whole schedule (the paper's Ms_blue and Ms_red). It sweeps the residency
+// intervals of residencies as open/close events per memory, built straight
+// into one presized buffer in the same order residencies would list them.
+func (s *Schedule) MemoryPeaks() (blue, red int64) {
+	g := s.Graph
+	mem := make([]platform.Memory, g.NumTasks())
+	finish := make([]float64, g.NumTasks())
+	for i := range s.Tasks {
+		mem[i] = s.MemoryOf(dag.TaskID(i))
+		finish[i] = s.Finish(dag.TaskID(i))
+	}
+	edges := g.Edges()
+	var n [2]int
+	for _, edge := range edges {
+		if edge.File == 0 {
+			continue
+		}
+		n[mem[edge.From]] += 2
+		if mem[edge.From] != mem[edge.To] {
+			n[mem[edge.To]] += 2
+		}
+	}
+	buf := make([]peakEvent, n[0]+n[1])
+	evs := [2][]peakEvent{buf[:0:n[0]], buf[n[0]:n[0]]}
+	for e, edge := range edges {
+		if edge.File == 0 {
+			continue
+		}
+		src, dst := mem[edge.From], mem[edge.To]
+		prodStart := s.Tasks[edge.From].Start
+		if src == dst {
+			evs[src] = append(evs[src], peakEvent{prodStart, edge.File}, peakEvent{finish[edge.To], -edge.File})
+			continue
+		}
+		tau := s.CommStart[e]
+		evs[src] = append(evs[src], peakEvent{prodStart, edge.File}, peakEvent{tau + edge.Comm, -edge.File})
+		evs[dst] = append(evs[dst], peakEvent{tau, edge.File}, peakEvent{finish[edge.To], -edge.File})
+	}
+	return sweepPeak(evs[0]), sweepPeak(evs[1])
 }
 
 // UsageAt returns the amount of memory m occupied at time t (files whose

@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"sync"
 
 	memsched "repro"
+	"repro/internal/memo"
 )
 
 // ErrNoRoutingKey reports a request body that carries neither a graph id
@@ -39,8 +44,14 @@ type keyedRequest struct {
 //
 // A malformed body or an invalid graph returns an error; the caller should
 // forward such requests anyway (unrouted) so the serving replica produces
-// the structured 4xx the client expects.
+// the structured 4xx the client expects. RoutingKey caches nothing: every
+// call decodes, validates and hashes an inline graph (see KeyCache for the
+// memoized form a router uses).
 func RoutingKey(body []byte) (key string, portable bool, err error) {
+	return routingKey(body, GraphKey)
+}
+
+func routingKey(body []byte, graphKey func(json.RawMessage, [][]float64) (string, error)) (key string, portable bool, err error) {
 	var req keyedRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return "", false, fmt.Errorf("serve: decoding routing key: %w", err)
@@ -51,7 +62,7 @@ func RoutingKey(body []byte) (key string, portable bool, err error) {
 	if len(req.Graph) == 0 {
 		return "", false, ErrNoRoutingKey
 	}
-	key, err = GraphKey(req.Graph, req.Times)
+	key, err = graphKey(req.Graph, req.Times)
 	return key, err == nil, err
 }
 
@@ -59,11 +70,23 @@ func RoutingKey(body []byte) (key string, portable bool, err error) {
 // format of memsched.Graph) plus an optional pool-time matrix — the value
 // POST /v1/graphs would return as the graph's id. It validates the graph
 // exactly as registration would, so an invalid graph errs here instead of
-// routing.
+// routing. GraphKey caches nothing.
 func GraphKey(raw json.RawMessage, times [][]float64) (string, error) {
+	sess, err := newSession(raw, times)
+	if err != nil {
+		return "", fmt.Errorf("serve: %w", err)
+	}
+	return sess.GraphHash(), nil
+}
+
+// newSession is the one path from an inline graph's wire form to a
+// validated Session: decode the graph, attach the optional pool-time
+// matrix, validate. Replica resolve, registration and GraphKey all use it,
+// so every tier agrees on which graphs are valid and what they hash to.
+func newSession(raw json.RawMessage, times [][]float64) (*memsched.Session, error) {
 	g := memsched.NewGraph()
 	if err := json.Unmarshal(raw, g); err != nil {
-		return "", fmt.Errorf("serve: malformed graph: %w", err)
+		return nil, fmt.Errorf("malformed graph: %w", err)
 	}
 	var opts []memsched.SessionOption
 	if times != nil {
@@ -71,7 +94,97 @@ func GraphKey(raw json.RawMessage, times [][]float64) (string, error) {
 	}
 	sess, err := memsched.NewSession(g, opts...)
 	if err != nil {
-		return "", fmt.Errorf("serve: invalid graph: %w", err)
+		return nil, fmt.Errorf("invalid graph: %w", err)
 	}
-	return sess.GraphHash(), nil
+	return sess, nil
+}
+
+// wireDigest names the exact wire form of an inline graph: SHA-256 over
+// the length-prefixed raw graph bytes, then the times matrix — a nil/non-nil
+// marker, the row count, and each row's length and float64 bits. It keys
+// the front caches that map a graph's bytes to its canonical hash without
+// decoding them. The digest is cryptographic on purpose: a front-cache hit
+// skips validation and hands out the session resident under the cached
+// id, so a crafted collision must not be able to point one client's bytes
+// at another client's session.
+type wireDigest [sha256.Size]byte
+
+func digestOf(raw json.RawMessage, times [][]float64) wireDigest {
+	h := sha256.New()
+	var buf []byte
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(raw)))
+	h.Write(buf)
+	h.Write(raw)
+	buf = buf[:0]
+	if times == nil {
+		buf = append(buf, 0)
+	} else {
+		buf = append(buf, 1)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(times)))
+		for _, row := range times {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(row)))
+			for _, v := range row {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
+		}
+	}
+	h.Write(buf)
+	var d wireDigest
+	h.Sum(d[:0])
+	return d
+}
+
+// KeyCache memoizes the canonical key of inline graphs by wire digest, in
+// a bounded LRU: the front cache of a router, whose hot path keys the same
+// graph bytes over and over. A hit returns the key without decoding the
+// graph. Entries are written only after GraphKey decoded, validated and
+// hashed those exact bytes, and errors are never cached, so a cached key
+// is always the one GraphKey would return. Safe for concurrent use.
+type KeyCache struct {
+	mu           sync.Mutex
+	keys         *memo.LRU[wireDigest, string]
+	hits, misses uint64
+}
+
+// NewKeyCache returns an empty KeyCache holding at most size keys.
+func NewKeyCache(size int) *KeyCache {
+	return &KeyCache{keys: memo.NewLRU[wireDigest, string](size)}
+}
+
+// RoutingKey is the package-level RoutingKey with inline graphs keyed
+// through the cache.
+func (c *KeyCache) RoutingKey(body []byte) (key string, portable bool, err error) {
+	return routingKey(body, c.GraphKey)
+}
+
+// GraphKey is the package-level GraphKey served from the cache when these
+// exact graph bytes and times were keyed before.
+func (c *KeyCache) GraphKey(raw json.RawMessage, times [][]float64) (string, error) {
+	d := digestOf(raw, times)
+	c.mu.Lock()
+	key, ok := c.keys.Get(d)
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	c.mu.Unlock()
+	if ok {
+		return key, nil
+	}
+	key, err := GraphKey(raw, times)
+	if err != nil {
+		return "", err
+	}
+	c.mu.Lock()
+	c.keys.Put(d, key)
+	c.mu.Unlock()
+	return key, nil
+}
+
+// Stats reports the cache's lookup outcomes so far.
+func (c *KeyCache) Stats() (hits, misses uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses
 }

@@ -30,7 +30,9 @@ type Config struct {
 	// load reports can attribute state per replica. Empty is fine for a
 	// single-node deployment (default "").
 	ReplicaID string
-	// CacheSize bounds the session LRU cache (default 256 graphs).
+	// CacheSize bounds the session LRU cache (default 256 graphs), and
+	// with it the front cache mapping inline graph bytes to their
+	// canonical ids.
 	CacheSize int
 	// MaxInFlight bounds the number of requests concurrently doing
 	// CPU-bound work (body decode, graph validation, scheduling runs);
@@ -181,9 +183,14 @@ type Server struct {
 
 	smu      sync.Mutex
 	sessions *memo.LRU[string, *memsched.Session]
+	// fronts maps the wire digest of an inline graph the slow path has
+	// decoded, validated and hashed to its canonical id, so the same bytes
+	// resolve next time by two map lookups instead of a graph build.
+	fronts *memo.LRU[wireDigest, string]
 
 	requests, scheduled           atomic.Uint64
 	sessionHits, sessionMisses    atomic.Uint64
+	frontHits, frontMisses        atomic.Uint64
 	candidateHits, candidateMiss  atomic.Uint64
 	sweepPoints                   atomic.Uint64
 	sweepReplayed, sweepTruncated atomic.Uint64
@@ -205,6 +212,7 @@ func NewServer(cfg Config) *Server {
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		sweepSem: make(chan struct{}, cfg.MaxSweepWorkers),
 		sessions: memo.NewLRU[string, *memsched.Session](cfg.CacheSize),
+		fronts:   memo.NewLRU[wireDigest, string](cfg.CacheSize),
 		start:    time.Now(),
 		ready:    make(chan struct{}),
 		prom:     newMetrics(),
@@ -435,6 +443,8 @@ func (s *Server) Stats() StatsResponse {
 		SessionsCached:             cached,
 		SessionCapacity:            s.cfg.CacheSize,
 		SessionEvictions:           evictions,
+		FrontCacheHits:             s.frontHits.Load(),
+		FrontCacheMisses:           s.frontMisses.Load(),
 		CandidateHits:              s.candidateHits.Load(),
 		CandidateMisses:            s.candidateMiss.Load(),
 		InFlight:                   s.inFlight.Load(),
@@ -528,32 +538,53 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 }
 
 // buildSession decodes an inline graph (plus optional times matrix) into a
-// validated Session. Errors have already been written to w.
+// validated Session through newSession, the path GraphKey shares. Errors
+// have already been written to w.
 func (s *Server) buildSession(w http.ResponseWriter, raw json.RawMessage, times [][]float64) (*memsched.Session, bool) {
-	g := memsched.NewGraph()
-	if err := json.Unmarshal(raw, g); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "malformed graph: "+err.Error())
-		return nil, false
-	}
-	var opts []memsched.SessionOption
-	if times != nil {
-		opts = append(opts, memsched.WithPoolTimes(times))
-	}
-	sess, err := memsched.NewSession(g, opts...)
+	sess, err := newSession(raw, times)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid graph: "+err.Error())
+		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return nil, false
 	}
 	return sess, true
 }
 
-// intern stores sess in the session cache under its canonical hash. When an
-// identical session is already resident the warm one is returned and kept
-// (cached = true).
-func (s *Server) intern(sess *memsched.Session) (resident *memsched.Session, cached bool) {
+// resolveInline turns an inline graph into a session, preferring a cached
+// warm one (cached = true). The front cache answers first: when these
+// exact bytes were resolved before and their canonical id is still
+// resident, the warm session is returned without building a graph. Any
+// miss — new bytes, different formatting, an evicted session — takes the
+// slow path: build, validate, hash, intern; only a success records the
+// bytes' digest. Errors have already been written to w.
+func (s *Server) resolveInline(w http.ResponseWriter, raw json.RawMessage, times [][]float64) (sess *memsched.Session, cached, ok bool) {
+	d := digestOf(raw, times)
+	s.smu.Lock()
+	if id, known := s.fronts.Get(d); known {
+		if warm, resident := s.sessions.Get(id); resident {
+			s.smu.Unlock()
+			s.frontHits.Add(1)
+			return warm, true, true
+		}
+	}
+	s.smu.Unlock()
+	s.frontMisses.Add(1)
+	built, ok := s.buildSession(w, raw, times)
+	if !ok {
+		return nil, false, false
+	}
+	sess, cached = s.intern(built, d)
+	return sess, cached, true
+}
+
+// intern stores sess in the session cache under its canonical hash and
+// records d, the digest of the bytes it was built from, in the front
+// cache. When an identical session is already resident the warm one is
+// returned and kept (cached = true).
+func (s *Server) intern(sess *memsched.Session, d wireDigest) (resident *memsched.Session, cached bool) {
 	key := sess.GraphHash()
 	s.smu.Lock()
 	defer s.smu.Unlock()
+	s.fronts.Put(d, key)
 	if warm, ok := s.sessions.Get(key); ok {
 		return warm, true
 	}
@@ -582,11 +613,12 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, `missing "graph"`)
 		return
 	}
-	sess, ok := s.buildSession(w, req.Graph, req.Times)
+	endResolve := trace.Start(r.Context(), "resolve")
+	sess, cached, ok := s.resolveInline(w, req.Graph, req.Times)
+	endResolve()
 	if !ok {
 		return
 	}
-	sess, cached := s.intern(sess)
 	g := sess.Graph()
 	writeJSON(w, http.StatusOK, RegisterResponse{
 		ID:     sess.GraphHash(),
@@ -618,11 +650,10 @@ func (s *Server) resolveSession(w http.ResponseWriter, graphID string, graph jso
 		s.sessionHits.Add(1)
 		return sess, true, true
 	case len(graph) > 0:
-		built, ok := s.buildSession(w, graph, times)
+		sess, cached, ok := s.resolveInline(w, graph, times)
 		if !ok {
 			return nil, false, false
 		}
-		sess, cached := s.intern(built)
 		if cached {
 			s.sessionHits.Add(1)
 		} else {
@@ -673,7 +704,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, simulate bool
 	// withAdmission already holds the in-flight slot across this whole
 	// span — body decode, graph validation and the scheduling run, not
 	// just the engine call: multi-MB inline graphs cost real CPU before
-	// scheduling starts.
+	// scheduling starts. The time budget covers the same span.
+	entry := time.Now()
 	endDecode := trace.Start(r.Context(), "decode")
 	var req ScheduleRequest
 	if s.decodeBody(w, r, &req) != nil {
@@ -685,6 +717,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, simulate bool
 		writeError(w, http.StatusBadRequest, CodeBadRequest, `"timeout_ms" must be >= 0`)
 		return
 	}
+	ctx, cancel := budget(r.Context(), entry, s.cfg.MaxRunTime, req.TimeoutMS)
+	defer cancel()
 	var policy memsched.SimPolicy
 	if simulate {
 		switch strings.ToLower(strings.TrimSpace(req.Policy)) {
@@ -707,6 +741,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, simulate bool
 			fmt.Sprintf("unknown scheduler %q (known: %s)", req.Scheduler, strings.Join(memsched.Schedulers(), ", ")))
 		return
 	}
+	if s.budgetSpent(w, ctx) {
+		return
+	}
 	endResolve := trace.Start(r.Context(), "resolve")
 	sess, fromCache, ok := s.resolveSession(w, req.GraphID, req.Graph, req.Times)
 	endResolve()
@@ -717,19 +754,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, simulate bool
 		n.cacheKnown, n.cacheHit = true, fromCache
 	}
 	p, ok := platformOf(w, req.Pools)
-	if !ok {
+	if !ok || s.budgetSpent(w, ctx) {
 		return
 	}
-
-	ctx := r.Context()
-	timeout := s.cfg.MaxRunTime
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
 
 	var (
 		res *memsched.Result
@@ -747,15 +774,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, simulate bool
 	}
 	endEngine()
 	if err != nil {
-		status, code := classify(err)
-		msg := err.Error()
-		if s.draining.Load() && errors.Is(err, context.Canceled) {
-			// The run died because the server is shutting down, not because
-			// the work was wrong — tell the client to retry elsewhere.
-			status, code = http.StatusServiceUnavailable, CodeDraining
-			msg = "server draining for shutdown: " + msg
-		}
-		writeError(w, status, code, msg)
+		s.writeRunError(w, err)
 		return
 	}
 	s.scheduled.Add(1)
@@ -794,6 +813,50 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, simulate bool
 	endEncode := trace.Start(r.Context(), "encode")
 	writeJSON(w, http.StatusOK, resp)
 	endEncode()
+}
+
+// budget returns the request's run context: limit (MaxRunTime or
+// MaxSweepTime), tightened by a positive timeoutMS, counted from entry —
+// the moment the handler started — so body decode and graph resolution
+// spend the same budget as the engine.
+func budget(ctx context.Context, entry time.Time, limit time.Duration, timeoutMS int64) (context.Context, context.CancelFunc) {
+	if timeoutMS > 0 {
+		if d := time.Duration(timeoutMS) * time.Millisecond; d < limit {
+			limit = d
+		}
+	}
+	return context.WithDeadline(ctx, entry.Add(limit))
+}
+
+// budgetSpent writes the structured refusal of a request whose run context
+// ended before the engine started (the budget went to decode and resolve,
+// or the client left) and reports whether it did.
+func (s *Server) budgetSpent(w http.ResponseWriter, ctx context.Context) bool {
+	if ctx.Err() == nil {
+		return false
+	}
+	s.writeRunError(w, fmt.Errorf("request interrupted before scheduling started: %w", ctx.Err()))
+	return true
+}
+
+// runError classifies a failed run for the wire. A run cancelled because
+// the server is shutting down becomes a 503 "draining" — the work was not
+// wrong, so the client should retry elsewhere — which keeps drain
+// distinguishable from a crash.
+func (s *Server) runError(err error) (status int, code, msg string) {
+	status, code = classify(err)
+	msg = err.Error()
+	if s.draining.Load() && errors.Is(err, context.Canceled) {
+		status, code = http.StatusServiceUnavailable, CodeDraining
+		msg = "server draining for shutdown: " + msg
+	}
+	return status, code, msg
+}
+
+// writeRunError writes the structured error of a failed run.
+func (s *Server) writeRunError(w http.ResponseWriter, err error) {
+	status, code, msg := s.runError(err)
+	writeError(w, status, code, msg)
 }
 
 func placementsOf(res *memsched.Result) []Placement {
@@ -878,6 +941,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// claim the middleware releases.
 	claim, _ := r.Context().Value(sweepClaimKey).(*sweepClaim)
 
+	entry := time.Now()
 	endDecode := trace.Start(r.Context(), "decode")
 	var req SweepRequest
 	if s.decodeBody(w, r, &req) != nil {
@@ -893,8 +957,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, `"workers" must be >= 0`)
 		return
 	}
+	ctx, cancel := budget(r.Context(), entry, s.cfg.MaxSweepTime, req.TimeoutMS)
+	defer cancel()
 	spec, ok := s.sweepSpecOf(w, &req)
-	if !ok {
+	if !ok || s.budgetSpent(w, ctx) {
 		return
 	}
 	endResolve := trace.Start(r.Context(), "resolve")
@@ -906,15 +972,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if n := noteFrom(r.Context()); n != nil {
 		n.cacheKnown, n.cacheHit = true, fromCache
 	}
-
-	timeout := s.cfg.MaxSweepTime
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+	if s.budgetSpent(w, ctx) {
+		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
 
 	// Widen the claim toward the requested worker count with whatever of
 	// the server-wide budget is currently free; the admission token
@@ -929,7 +989,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Long sweeps legitimately outlive the server-wide WriteTimeout;
 	// extend this connection's write deadline to the sweep's own budget
 	// (best-effort: not every ResponseWriter supports it).
-	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(timeout + 10*time.Second))
+	deadline, _ := ctx.Deadline()
+	_ = http.NewResponseController(w).SetWriteDeadline(deadline.Add(10 * time.Second))
 
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
@@ -965,15 +1026,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	})
 	endSweep()
 	if err != nil {
-		status, code := classify(err)
-		msg := err.Error()
-		if s.draining.Load() && errors.Is(err, context.Canceled) {
-			// Shutdown cancelled this sweep; make drain distinguishable from
-			// a crash on the wire — pre-stream as a 503, mid-stream as a
-			// final typed error record instead of a severed connection.
-			status, code = http.StatusServiceUnavailable, CodeDraining
-			msg = "server draining for shutdown: " + msg
-		}
+		// Pre-stream failures are structured HTTP errors; mid-stream ones
+		// (a shutdown drain included) end the stream with a typed record
+		// instead of a severed connection.
+		status, code, msg := s.runError(err)
 		if !streaming {
 			writeError(w, status, code, msg)
 			return

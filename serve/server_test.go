@@ -430,6 +430,41 @@ func TestRequestTimeoutIs408(t *testing.T) {
 	}
 }
 
+// TestBudgetCoversDecodeAndResolve pins that timeout_ms counts from
+// handler entry, not from the engine start: a large cold inline body
+// under a 1 ms budget spends it on decode and graph resolution, and the
+// request ends as the structured 408 before any engine runs — for
+// schedule and sweep alike.
+func TestBudgetCoversDecodeAndResolve(t *testing.T) {
+	client, srv := newTestServer(t, serve.Config{MaxRequestBytes: 64 << 20})
+	params := memsched.LargeRandParams()
+	params.Size = 20000
+	g, err := memsched.GenerateRandom(params, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := g.MarshalJSON()
+	pools := []serve.PoolSpec{{Procs: 2}, {Procs: 2}}
+	_, schedErr := client.Schedule(context.Background(), serve.ScheduleRequest{
+		Graph: raw, Pools: pools, Scheduler: "memheft", TimeoutMS: 1,
+	})
+	_, sweepErr := client.Sweep(context.Background(), serve.SweepRequest{
+		Graph: raw, Pools: pools, Alphas: []float64{0.9, 1}, TimeoutMS: 1,
+	}, nil)
+	for name, err := range map[string]error{"schedule": schedErr, "sweep": sweepErr} {
+		var apiErr *serve.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusRequestTimeout || apiErr.Code != serve.CodeTimeout {
+			t.Fatalf("%s: want a structured 408 timeout, got %v", name, err)
+		}
+		if !strings.Contains(apiErr.Message, "before scheduling started") {
+			t.Fatalf("%s: the 408 should say the budget ran out before the engine, got %q", name, apiErr.Message)
+		}
+	}
+	if st := srv.Stats(); st.Scheduled != 0 || st.SweepPoints != 0 {
+		t.Fatalf("an engine ran past the spent budget: %+v", st)
+	}
+}
+
 func TestHealthAndUnknownRoute(t *testing.T) {
 	client, _ := newTestServer(t, serve.Config{})
 	ctx := context.Background()

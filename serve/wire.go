@@ -267,6 +267,12 @@ type StatsResponse struct {
 	// the cache-pressure signal sharding the key space across replicas is
 	// supposed to reduce.
 	SessionEvictions uint64 `json:"session_cache_evictions"`
+	// FrontCacheHits counts inline graphs (schedule, simulate, sweep and
+	// registration bodies) resolved by their wire digest to a resident
+	// session without building a graph; FrontCacheMisses counts those that
+	// took the decode-validate-hash path instead.
+	FrontCacheHits   uint64 `json:"front_cache_hits"`
+	FrontCacheMisses uint64 `json:"front_cache_misses"`
 	// CandidateHits / CandidateMisses aggregate the engines' per-run
 	// candidate-memo counters (memsched.Stats.CacheHits/CacheMisses)
 	// over all runs.
