@@ -1,11 +1,8 @@
 package memsched
 
 import (
-	"context"
 	"io"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/daggen"
 	"repro/internal/exact"
@@ -38,20 +35,17 @@ type (
 	// build one with NewDualPlatform, or any pool count with NewPlatform.
 	Platform = multi.Platform
 	// Schedule is a complete mapping of a graph onto a dual-memory
-	// platform, produced by the incremental dual engine.
+	// platform: the engine's 2-pool schedule of a dual session, projected
+	// onto the dual model.
 	Schedule = schedule.Schedule
-	// PoolSchedule is a schedule on a k-pool platform, produced by the
-	// generalised engine.
+	// PoolSchedule is a schedule on a k-pool platform, as the engine
+	// produces it.
 	PoolSchedule = multi.Schedule
 	// Instance couples a DAG with a per-pool Times[task][pool] matrix for
 	// k-pool scheduling.
 	Instance = multi.Instance
 	// Memory identifies the blue or red memory of the dual model.
 	Memory = platform.Memory
-
-	// Options tunes a deprecated facade heuristic call (tie-break seed).
-	// New code passes WithSeed to Session.Schedule instead.
-	Options = core.Options
 )
 
 // Memories of the dual model.
@@ -94,9 +88,9 @@ func NewInstance(g *Graph, times [][]float64) *Instance {
 }
 
 // ErrMemoryBound is returned (wrapped) when a memory-aware heuristic cannot
-// schedule the graph within the platform's memory bounds — by both the dual
-// and the k-pool engine.
-var ErrMemoryBound = core.ErrMemoryBound
+// schedule the graph within the platform's memory bounds, on dual and
+// WithPoolTimes sessions alike.
+var ErrMemoryBound = multi.ErrMemoryBound
 
 // LowerBound returns a makespan lower bound valid for every schedule of g
 // on the 2-pool platform p (critical path and aggregate work arguments).
@@ -189,108 +183,10 @@ func (e *dualOnlyError) Error() string {
 	return "memsched: " + e.what + " requires a 2-pool (dual-memory) platform"
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated facade: the pre-Session flat API, kept as thin wrappers for one
-// release. See docs/MIGRATION.md for the mapping.
-// ---------------------------------------------------------------------------
+// The pre-Session flat facade (MemHEFT, SchedulerByName, Optimal, ...) and
+// the parallel Multi* type system were removed after their deprecation
+// releases; docs/MIGRATION.md maps each name to its Session call.
 
-// SchedulerFunc is the signature of the deprecated flat heuristic entry
-// points. They accept any Platform but reject pool counts other than 2.
-//
-// Deprecated: create a Session and call Schedule with WithScheduler.
-type SchedulerFunc = func(*Graph, Platform, Options) (*Schedule, error)
-
-// wrapDual adapts a context-first dual-memory heuristic to the deprecated
-// flat signature.
-func wrapDual(fn core.Func) SchedulerFunc {
-	return func(g *Graph, p Platform, opt Options) (*Schedule, error) {
-		dp, ok := p.Dual()
-		if !ok {
-			return nil, errDualOnly("the flat scheduler API")
-		}
-		return fn(context.Background(), g, dp, opt)
-	}
-}
-
-// Schedulers of the paper. HEFT and MinMin ignore the platform's memory
-// bounds; MemHEFT and MemMinMin enforce them and return an error wrapping
-// ErrMemoryBound when the graph does not fit. MemHEFTInsertion is the
-// insertion-policy ablation of MemHEFT.
-//
-// Deprecated: create a Session and call Schedule with WithScheduler (and
-// WithInsertion for the ablation). These wrappers carry no session memos:
-// every call recomputes the priority list and graph statics, so hot loops
-// (sweeps, services) should migrate to a Session to keep the cached cost.
-var (
-	HEFT             = wrapDual(core.HEFT)
-	MinMin           = wrapDual(core.MinMin)
-	MemHEFT          = wrapDual(core.MemHEFT)
-	MemMinMin        = wrapDual(core.MemMinMin)
-	MemHEFTInsertion = wrapDual(core.MemHEFTInsertion)
-)
-
-// SchedulerByName resolves a registered scheduler name (case-insensitive;
-// see Schedulers for the registry) to the deprecated flat signature.
-//
-// Deprecated: pass WithScheduler(name) to Session.Schedule.
-func SchedulerByName(name string) (SchedulerFunc, error) {
-	fn, err := core.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return wrapDual(fn), nil
-}
-
-// OptimalOptions bounds the effort of the deprecated Optimal wrapper.
-//
-// Deprecated: pass WithMaxNodes / WithTimeout to Session.Optimal.
-type OptimalOptions struct {
-	MaxNodes int           // 0 = the default node budget
-	Timeout  time.Duration // 0 = unlimited
-}
-
-// Optimal runs the branch-and-bound search for the best list schedule of g
-// on the 2-pool platform p. It returns the best schedule found and whether
-// optimality (over the list-schedule space) was proven; a nil schedule with
-// proven=true means the instance is infeasible for every list schedule.
-//
-// Deprecated: create a Session and call Optimal.
-func Optimal(g *Graph, p Platform, opt OptimalOptions) (s *Schedule, proven bool, err error) {
-	dp, ok := p.Dual()
-	if !ok {
-		return nil, false, errDualOnly("Optimal")
-	}
-	res, err := exact.Solve(context.Background(), g, dp, exact.Options{MaxNodes: opt.MaxNodes, Timeout: opt.Timeout})
-	if err != nil {
-		return nil, false, err
-	}
-	proven = res.Status == exact.Optimal || res.Status == exact.Infeasible
-	return res.Schedule, proven, nil
-}
-
-// Simulate runs the online dispatcher for g on the 2-pool platform p and
-// returns the emitted, validated schedule.
-//
-// Deprecated: create a Session and call Simulate with WithPolicy.
-func Simulate(g *Graph, p Platform, policy SimPolicy, seed int64) (*Schedule, error) {
-	dp, ok := p.Dual()
-	if !ok {
-		return nil, errDualOnly("Simulate")
-	}
-	res, err := sim.Run(context.Background(), g, dp, sim.Options{Policy: policy, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return res.Schedule, nil
-}
-
-// The parallel Multi* type system (MemoryPool, MultiPlatform, MultiInstance,
-// MultiSchedule, MultiSchedulerFunc, NewMultiPlatform, NewMultiInstance,
-// MultiMemHEFT, MultiMemMinMin, ErrMultiMemoryBound) that predated the
-// unified pool surface has been removed after its deprecation release; see
-// docs/MIGRATION.md for the one-line replacements on the Session API.
-
-// DualInstance converts a dual-memory graph into a 2-pool instance (pool 0
-// blue, pool 1 red); the generalised heuristics then reproduce MemHEFT /
-// MemMinMin exactly.
+// DualInstance converts a dual-memory graph into its 2-pool instance (pool
+// 0 blue, pool 1 red): the instance a dual Session schedules.
 func DualInstance(g *Graph) *Instance { return multi.FromDual(g) }

@@ -15,10 +15,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	g.MustAddEdge(a, b, 2, 1)
 
 	p := NewDualPlatform(2, 1, 8, 4)
-	s, err := MemHEFT(g, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustSchedule(t, g, p)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -28,20 +25,44 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 }
 
 func TestFacadeSchedulersRegistered(t *testing.T) {
+	sess, err := NewSession(PaperExample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewDualPlatform(1, 1, 10, 10)
 	for _, name := range []string{"heft", "minmin", "memheft", "memminmin"} {
-		if _, err := SchedulerByName(name); err != nil {
+		if _, err := sess.Schedule(context.Background(), p, WithScheduler(name)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if _, err := SchedulerByName("nope"); err == nil {
+	if _, err := sess.Schedule(context.Background(), p, WithScheduler("nope")); err == nil {
 		t.Fatal("bad name accepted")
 	}
+}
+
+// mustSchedule runs one Session.Schedule call on a fresh session of g and
+// returns its dual schedule.
+func mustSchedule(t *testing.T, g *Graph, p Platform, opts ...ScheduleOption) *Schedule {
+	t.Helper()
+	sess, err := NewSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Schedule(context.Background(), p, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Schedule
 }
 
 func TestFacadeErrMemoryBound(t *testing.T) {
 	g := PaperExample()
 	p := NewDualPlatform(1, 1, 2, 2)
-	_, err := MemMinMin(g, p, Options{})
+	sess, err := NewSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sess.Schedule(context.Background(), p, WithScheduler("memminmin"))
 	if !errors.Is(err, ErrMemoryBound) {
 		t.Fatalf("err = %v", err)
 	}
@@ -63,21 +84,24 @@ func TestFacadeGraphJSONRoundTrip(t *testing.T) {
 }
 
 func TestFacadeOptimalOnPaperExample(t *testing.T) {
-	g := PaperExample()
-	s, proven, err := Optimal(g, NewDualPlatform(1, 1, 4, 4), OptimalOptions{})
+	sess, err := NewSession(PaperExample())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !proven || s == nil || s.Makespan() != 7 {
-		t.Fatalf("proven=%v s=%v", proven, s)
+	res, err := sess.Optimal(context.Background(), NewDualPlatform(1, 1, 4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := res.Schedule; !res.Stats.Proven || s == nil || s.Makespan() != 7 {
+		t.Fatalf("proven=%v s=%v", res.Stats.Proven, s)
 	}
 	// Infeasible case: nil schedule with proven=true.
-	s, proven, err = Optimal(g, NewDualPlatform(1, 1, 2, 2), OptimalOptions{})
+	res, err = sess.Optimal(context.Background(), NewDualPlatform(1, 1, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s != nil || !proven {
-		t.Fatalf("infeasible case: s=%v proven=%v", s, proven)
+	if res.Schedule != nil || !res.Stats.Proven {
+		t.Fatalf("infeasible case: s=%v proven=%v", res.Schedule, res.Stats.Proven)
 	}
 }
 
@@ -137,11 +161,8 @@ func TestFacadeMultiPool(t *testing.T) {
 			t.Fatal("peak count")
 		}
 	}
-	// Differential against the dual-memory scheduler.
-	dual, err := MemHEFT(g, NewDualPlatform(1, 1, 10, 10), Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Differential against the dual session of the same graph.
+	dual := mustSchedule(t, g, NewDualPlatform(1, 1, 10, 10), WithSeed(1))
 	ms, err := sess.Schedule(ctx, p, WithScheduler("memheft"), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
@@ -163,20 +184,14 @@ func TestFacadeEndToEndLU(t *testing.T) {
 		t.Fatal(err)
 	}
 	unbounded := NewDualPlatform(12, 3, Unlimited, Unlimited)
-	ref, err := HEFT(g, unbounded, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := mustSchedule(t, g, unbounded, WithScheduler("heft"), WithSeed(1))
 	blue, red := ref.MemoryPeaks()
 	peak := blue
 	if red > peak {
 		peak = red
 	}
 	tight := NewDualPlatform(12, 3, peak/2, peak/2)
-	s, err := MemHEFT(g, tight, Options{Seed: 1})
-	if err != nil {
-		t.Fatalf("MemHEFT at half the HEFT peak: %v", err)
-	}
+	s := mustSchedule(t, g, tight, WithSeed(1))
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -187,24 +202,26 @@ func TestFacadeEndToEndLU(t *testing.T) {
 }
 
 func TestFacadeSimulateAndInsertion(t *testing.T) {
+	ctx := context.Background()
 	g := PaperExample()
-	p := NewDualPlatform(1, 1, 10, 10)
-	for _, pol := range []SimPolicy{SimRankPolicy, SimEFTPolicy} {
-		s, err := Simulate(g, p, pol, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := Simulate(g, NewDualPlatform(1, 1, 2, 2), SimRankPolicy, 1); !errors.Is(err, ErrSimStuck) {
-		t.Fatalf("err = %v", err)
-	}
-	s, err := MemHEFTInsertion(g, p, Options{Seed: 1})
+	sess, err := NewSession(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := NewDualPlatform(1, 1, 10, 10)
+	for _, pol := range []SimPolicy{SimRankPolicy, SimEFTPolicy} {
+		res, err := sess.Simulate(ctx, p, WithPolicy(pol), WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sess.Simulate(ctx, NewDualPlatform(1, 1, 2, 2), WithSeed(1)); !errors.Is(err, ErrSimStuck) {
+		t.Fatalf("err = %v", err)
+	}
+	s := mustSchedule(t, g, p, WithInsertion(), WithSeed(1))
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	memsched "repro"
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/daggen"
 	"repro/internal/exact"
@@ -110,7 +109,10 @@ func BenchmarkFig15Cholesky(b *testing.B) {
 
 // --- Scheduler throughput ---
 
-func benchScheduler(b *testing.B, fn core.Func, size int, alpha float64) {
+// benchInstance builds the size-task random DAG of the throughput
+// benchmarks and the random platform with both memories at alpha times
+// the HEFT peak.
+func benchInstance(b *testing.B, size int, alpha float64) (*dag.Graph, memsched.Platform) {
 	params := daggen.LargeParams()
 	params.Size = size
 	g, err := daggen.Generate(params, 7)
@@ -123,13 +125,40 @@ func benchScheduler(b *testing.B, fn core.Func, size int, alpha float64) {
 		b.Fatal(err)
 	}
 	bound := int64(alpha * float64(peak))
-	p = p.WithBounds(bound, bound)
-	// One cache set for the loop, as a session would hold: the benchmark
-	// tracks the steady-state (warm-memo) scheduling cost.
-	caches := core.NewCaches()
+	return g, memsched.NewDualPlatform(p.PBlue, p.PRed, bound, bound)
+}
+
+// benchSession returns a dual session of g.
+func benchSession(b *testing.B, g *dag.Graph) *memsched.Session {
+	sess, err := memsched.NewSession(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sess
+}
+
+// benchScheduler measures Session.Schedule with the named scheduler. One
+// session serves the loop, so the benchmark tracks the steady-state
+// (warm-memo) scheduling cost.
+func benchScheduler(b *testing.B, name string, size int, alpha float64) {
+	g, p := benchInstance(b, size, alpha)
+	sess := benchSession(b, g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fn(tctx, g, p, core.Options{Seed: 7, Caches: caches}); err != nil {
+		if _, err := sess.Schedule(tctx, p, memsched.WithScheduler(name), memsched.WithSeed(7)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchReference measures one of the engine's naive reference oracles on
+// the lifted 2-pool instance of the same DAG.
+func benchReference(b *testing.B, oracle multi.Func, size int, alpha float64) {
+	g, p := benchInstance(b, size, alpha)
+	in := multi.FromDual(g)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := oracle(tctx, in, p, multi.Options{Seed: 7}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,13 +166,13 @@ func benchScheduler(b *testing.B, fn core.Func, size int, alpha float64) {
 
 // BenchmarkMemHEFT300 measures MemHEFT on a 300-task DAG at half the HEFT
 // memory.
-func BenchmarkMemHEFT300(b *testing.B) { benchScheduler(b, core.MemHEFT, 300, 0.5) }
+func BenchmarkMemHEFT300(b *testing.B) { benchScheduler(b, "memheft", 300, 0.5) }
 
 // BenchmarkMemMinMin300 measures MemMinMin on the same instance.
-func BenchmarkMemMinMin300(b *testing.B) { benchScheduler(b, core.MemMinMin, 300, 0.5) }
+func BenchmarkMemMinMin300(b *testing.B) { benchScheduler(b, "memminmin", 300, 0.5) }
 
 // BenchmarkHEFT1000 measures plain HEFT on a 1000-task DAG.
-func BenchmarkHEFT1000(b *testing.B) { benchScheduler(b, core.HEFT, 1000, 1) }
+func BenchmarkHEFT1000(b *testing.B) { benchScheduler(b, "heft", 1000, 1) }
 
 // BenchmarkMemHEFT3000 and BenchmarkMemHEFT10000 track the incremental
 // engine at production scales the naive implementation could not reach in
@@ -151,34 +180,25 @@ func BenchmarkHEFT1000(b *testing.B) { benchScheduler(b, core.HEFT, 1000, 1) }
 // O(l) staircase walk inside).
 // (The memory pressure is eased with size: at these scales the random DAGs
 // stop fitting half the HEFT peak — see the feasibility sweep in ISSUE 1.)
-func BenchmarkMemHEFT3000(b *testing.B)  { benchScheduler(b, core.MemHEFT, 3000, 0.7) }
-func BenchmarkMemHEFT10000(b *testing.B) { benchScheduler(b, core.MemHEFT, 10000, 0.9) }
+func BenchmarkMemHEFT3000(b *testing.B)  { benchScheduler(b, "memheft", 3000, 0.7) }
+func BenchmarkMemHEFT10000(b *testing.B) { benchScheduler(b, "memheft", 10000, 0.9) }
 
 // BenchmarkMemMinMin3000 is the dynamic heuristic at the same scale; its
 // candidate heap with lazy invalidation is what keeps the per-commit cost
 // near the ready-set width instead of a full re-evaluation.
-func BenchmarkMemMinMin3000(b *testing.B) { benchScheduler(b, core.MemMinMin, 3000, 0.7) }
+func BenchmarkMemMinMin3000(b *testing.B) { benchScheduler(b, "memminmin", 3000, 0.7) }
 
 // BenchmarkMemoryPeaks3000 measures the finalize pass the service runs on
 // every fresh result: the exact per-memory peak sweep over the file
 // residencies of a 3000-task MemHEFT schedule.
 func BenchmarkMemoryPeaks3000(b *testing.B) {
-	params := daggen.LargeParams()
-	params.Size = 3000
-	g, err := daggen.Generate(params, 7)
+	g, p := benchInstance(b, 3000, 0.7)
+	bound := p.Capacity(0)
+	res, err := benchSession(b, g).Schedule(tctx, p, memsched.WithSeed(7))
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := experiments.RandomPlatform()
-	_, peak, err := experiments.HEFTReference(tctx, g, p, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bound := int64(0.7 * float64(peak))
-	s, err := core.MemHEFT(tctx, g, p.WithBounds(bound, bound), core.Options{Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := res.Schedule
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -189,14 +209,14 @@ func BenchmarkMemoryPeaks3000(b *testing.B) {
 }
 
 // BenchmarkMemHEFTReference300 and BenchmarkMemMinMinReference300 run the
-// retained naive oracles on the 300-task instance, pinning the speedup of
-// the incremental paths (the golden-equivalence tests prove the schedules
-// are identical).
+// retained naive oracles on the lifted 300-task instance, pinning the
+// speedup of the incremental paths (the golden-equivalence tests prove the
+// schedules are identical).
 func BenchmarkMemHEFTReference300(b *testing.B) {
-	benchScheduler(b, core.MemHEFTReference, 300, 0.5)
+	benchReference(b, multi.MemHEFTReference, 300, 0.5)
 }
 func BenchmarkMemMinMinReference300(b *testing.B) {
-	benchScheduler(b, core.MemMinMinReference, 300, 0.5)
+	benchReference(b, multi.MemMinMinReference, 300, 0.5)
 }
 
 // --- k-pool engine throughput ---
@@ -349,11 +369,13 @@ func BenchmarkAblationBroadcastPipeline(b *testing.B) {
 			// 32 tiles per memory: the pipelined graph schedules,
 			// the direct fan-out does not (its getrf/trsm outputs
 			// materialise all copies at once).
-			p := experiments.MiragePlatform().WithBounds(32, 32)
+			mp := experiments.MiragePlatform()
+			p := memsched.NewDualPlatform(mp.PBlue, mp.PRed, 32, 32)
+			sess := benchSession(b, g)
 			b.ResetTimer()
 			fails := 0
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MemHEFT(tctx, g, p, core.Options{Seed: 1}); err != nil {
+				if _, err := sess.Schedule(tctx, p, memsched.WithSeed(1)); err != nil {
 					fails++
 				}
 			}
@@ -364,23 +386,26 @@ func BenchmarkAblationBroadcastPipeline(b *testing.B) {
 
 // BenchmarkAblationTieBreak compares deterministic rank order (seed-fixed)
 // against fresh random tie-breaking per run, measuring the scheduling cost
-// of the priority phase.
+// of the priority phase: the fixed seed is served from the session's
+// priority-list memo, a fresh seed recomputes the list every run.
 func BenchmarkAblationTieBreak(b *testing.B) {
 	g, err := daggen.Generate(daggen.SmallParams(), 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := experiments.RandomPlatform().WithBounds(platform.Unlimited, platform.Unlimited)
+	rp := experiments.RandomPlatform()
+	p := memsched.NewDualPlatform(rp.PBlue, rp.PRed, memsched.Unlimited, memsched.Unlimited)
+	sess := benchSession(b, g)
 	b.Run("fixed-seed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MemHEFT(tctx, g, p, core.Options{Seed: 1}); err != nil {
+			if _, err := sess.Schedule(tctx, p, memsched.WithSeed(1)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("per-run-seed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MemHEFT(tctx, g, p, core.Options{Seed: int64(i)}); err != nil {
+			if _, err := sess.Schedule(tctx, p, memsched.WithSeed(int64(i))); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -417,10 +442,10 @@ func BenchmarkAblationStaircase(b *testing.B) {
 // BenchmarkExactSearchPaperExample measures the branch-and-bound reference
 // on the paper's toy instance at the memory bound where the optimum shifts.
 func BenchmarkExactSearchPaperExample(b *testing.B) {
-	g := dag.PaperExample()
-	p := platform.New(1, 1, 4, 4)
+	in := multi.FromDual(dag.PaperExample())
+	p := multi.FromDualPlatform(platform.New(1, 1, 4, 4))
 	for i := 0; i < b.N; i++ {
-		res, err := exact.Solve(tctx, g, p, exact.Options{})
+		res, err := exact.Solve(tctx, in, p, exact.Options{})
 		if err != nil || res.Makespan != 7 {
 			b.Fatalf("res=%+v err=%v", res, err)
 		}
@@ -449,14 +474,16 @@ func BenchmarkAblationInsertion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := experiments.RandomPlatform().WithBounds(platform.Unlimited, platform.Unlimited)
-	ref, err := core.MemHEFT(tctx, g, p, core.Options{Seed: 1})
+	rp := experiments.RandomPlatform()
+	p := memsched.NewDualPlatform(rp.PBlue, rp.PRed, memsched.Unlimited, memsched.Unlimited)
+	sess := benchSession(b, g)
+	ref, err := sess.Schedule(tctx, p, memsched.WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("append", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MemHEFT(tctx, g, p, core.Options{Seed: 1}); err != nil {
+			if _, err := sess.Schedule(tctx, p, memsched.WithSeed(1)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -464,11 +491,11 @@ func BenchmarkAblationInsertion(b *testing.B) {
 	b.Run("insertion", func(b *testing.B) {
 		var last float64
 		for i := 0; i < b.N; i++ {
-			s, err := core.MemHEFTInsertion(tctx, g, p, core.Options{Seed: 1})
+			res, err := sess.Schedule(tctx, p, memsched.WithInsertion(), memsched.WithSeed(1))
 			if err != nil {
 				b.Fatal(err)
 			}
-			last = s.Makespan()
+			last = res.Makespan()
 		}
 		b.ReportMetric(last/ref.Makespan(), "makespan-ratio")
 	})
@@ -483,13 +510,15 @@ func BenchmarkAblationOnlineVsStatic(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := experiments.MiragePlatform().WithBounds(120, 120)
-	static, err := core.MemMinMin(tctx, g, p, core.Options{Seed: 1})
+	pp := memsched.NewDualPlatform(p.PBlue, p.PRed, p.MBlue, p.MRed)
+	sess := benchSession(b, g)
+	static, err := sess.Schedule(tctx, pp, memsched.WithScheduler("memminmin"), memsched.WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("static-memminmin", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MemMinMin(tctx, g, p, core.Options{Seed: 1}); err != nil {
+			if _, err := sess.Schedule(tctx, pp, memsched.WithScheduler("memminmin"), memsched.WithSeed(1)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -507,10 +536,11 @@ func BenchmarkAblationOnlineVsStatic(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationMultiPool compares the dual-memory scheduler against the
-// k-pool generalisation on the same instance: the 2-pool run must match
-// core's behaviour (verified by tests) at comparable cost, and the 4-pool
-// run shows the cost of evaluating more memories per decision.
+// BenchmarkAblationMultiPool compares a dual session against direct engine
+// calls on the same instance: "core-2mem" is Session.Schedule on the
+// paper's dual platform, "multi-2pool" the engine on the lifted instance
+// without a session (no memos), and the 4-pool run shows the cost of
+// evaluating more memories per decision.
 func BenchmarkAblationMultiPool(b *testing.B) {
 	params := daggen.SmallParams()
 	params.Size = 60
@@ -519,9 +549,10 @@ func BenchmarkAblationMultiPool(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("core-2mem", func(b *testing.B) {
-		p := platform.New(2, 2, 500, 500)
+		p := memsched.NewDualPlatform(2, 2, 500, 500)
+		sess := benchSession(b, g)
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MemHEFT(tctx, g, p, core.Options{Seed: 1}); err != nil {
+			if _, err := sess.Schedule(tctx, p, memsched.WithSeed(1)); err != nil {
 				b.Fatal(err)
 			}
 		}

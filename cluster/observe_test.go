@@ -10,21 +10,60 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/cluster"
 	"repro/serve"
 )
 
 // logSink is a goroutine-safe slog destination, one per tier under test.
+// Both tiers write a request's access line after its handler returns, so
+// the client can hold the response before the line exists: tests read a
+// line with waitFor, never with String right after a response.
 type logSink struct {
-	mu sync.Mutex
-	b  bytes.Buffer
+	mu      sync.Mutex
+	b       bytes.Buffer
+	written chan struct{} // closed (and dropped) by the next Write
 }
 
 func (s *logSink) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.written != nil {
+		close(s.written)
+		s.written = nil
+	}
 	return s.b.Write(p)
+}
+
+// logWait bounds how long waitFor lets a tier take to write a line.
+const logWait = 10 * time.Second
+
+// waitFor blocks until the sink holds a line containing sub, woken by each
+// write, and returns that line; it fails the test after logWait.
+func (s *logSink) waitFor(t *testing.T, sub string) string {
+	t.Helper()
+	deadline := time.NewTimer(logWait)
+	defer deadline.Stop()
+	for {
+		s.mu.Lock()
+		for _, line := range strings.Split(s.b.String(), "\n") {
+			if strings.Contains(line, sub) {
+				s.mu.Unlock()
+				return line
+			}
+		}
+		if s.written == nil {
+			s.written = make(chan struct{})
+		}
+		written := s.written
+		s.mu.Unlock()
+		select {
+		case <-written:
+		case <-deadline.C:
+			t.Fatalf("no log line containing %s within %v:\n%s", sub, logWait, s.String())
+		}
+	}
 }
 
 func (s *logSink) String() string {
@@ -68,26 +107,24 @@ func TestClusterRequestIDPropagation(t *testing.T) {
 		t.Fatalf("response request id = %q, want %q", res.RequestID, reqID)
 	}
 
-	rout := routerSink.String()
-	if !strings.Contains(rout, `"request_id":"`+reqID+`"`) || !strings.Contains(rout, `"msg":"request"`) {
-		t.Fatalf("router access log has no line for %s:\n%s", reqID, rout)
-	}
+	rout := routerSink.waitFor(t, `"msg":"request","request_id":"`+reqID+`"`)
 	// The router's line names the replica it forwarded to; that replica's
-	// own access log must carry the same id (first hop: unsuffixed).
+	// own access log must carry the same id (first hop: unsuffixed), and
+	// no other replica's may.
 	serving := ""
-	for id, sink := range sinks {
-		if strings.Contains(sink.String(), `"request_id":"`+reqID+`"`) {
-			if serving != "" {
-				t.Fatalf("id %s appears on both replica %s and %s", reqID, serving, id)
-			}
+	for id := range sinks {
+		if strings.Contains(rout, `"replica":"`+id+`"`) {
 			serving = id
 		}
 	}
 	if serving == "" {
-		t.Fatalf("no replica access log carries %s", reqID)
+		t.Fatalf("router access line names no replica: %s", rout)
 	}
-	if !strings.Contains(rout, `"replica":"`+serving+`"`) {
-		t.Fatalf("router log does not attribute %s to replica %s:\n%s", reqID, serving, rout)
+	sinks[serving].waitFor(t, `"msg":"request","request_id":"`+reqID+`"`)
+	for id, sink := range sinks {
+		if id != serving && strings.Contains(sink.String(), `"request_id":"`+reqID+`"`) {
+			t.Fatalf("id %s appears on both replica %s and %s", reqID, serving, id)
+		}
 	}
 }
 
@@ -185,20 +222,18 @@ func TestClusterFailoverSuffix(t *testing.T) {
 		t.Fatalf("failover response request id = %q, want %q", res.RequestID, reqID)
 	}
 
-	if out := routerSink.String(); !strings.Contains(out, `"msg":"replica failed, failing over"`) ||
-		!strings.Contains(out, `"request_id":"`+reqID+`"`) {
-		t.Fatalf("router log missing failover provenance for %s:\n%s", reqID, out)
-	}
-	suffixed := false
-	for id, sink := range sinks {
-		if id == owner {
-			continue
-		}
-		if strings.Contains(sink.String(), `"request_id":"`+reqID+`-f1"`) {
-			suffixed = true
+	routerSink.waitFor(t, `"msg":"replica failed, failing over","request_id":"`+reqID+`"`)
+	// The router's access line names the replica that finally answered;
+	// its own access line carries the suffixed id.
+	rout := routerSink.waitFor(t, `"msg":"request","request_id":"`+reqID+`"`)
+	serving := ""
+	for id := range sinks {
+		if id != owner && strings.Contains(rout, `"replica":"`+id+`"`) {
+			serving = id
 		}
 	}
-	if !suffixed {
-		t.Fatalf("no surviving replica saw the -f1 suffixed id %s-f1", reqID)
+	if serving == "" {
+		t.Fatalf("router access line names no surviving replica: %s", rout)
 	}
+	sinks[serving].waitFor(t, `"request_id":"`+reqID+`-f1"`)
 }

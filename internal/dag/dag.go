@@ -7,7 +7,7 @@
 //
 // The package offers construction, validation, topological orders, the
 // upward-rank priority of HEFT, memory requirement queries, and JSON / DOT
-// serialisation. It contains no scheduling logic; see internal/core for the
+// serialisation. It contains no scheduling logic; see internal/multi for the
 // heuristics.
 package dag
 

@@ -5,10 +5,16 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
 	"repro/internal/dag"
+	"repro/internal/multi"
 	"repro/internal/platform"
 )
+
+// solveDual runs Solve on the lifted 2-pool instance of a dual graph and
+// platform.
+func solveDual(g *dag.Graph, p platform.Platform, opt Options) (*Result, error) {
+	return Solve(tctx, multi.FromDual(g), multi.FromDualPlatform(p), opt)
+}
 
 func TestLowerBoundPaperExample(t *testing.T) {
 	g := dag.PaperExample()
@@ -30,7 +36,7 @@ func TestLowerBoundPaperExample(t *testing.T) {
 func TestOptimalPaperExampleUnlimited(t *testing.T) {
 	g := dag.PaperExample()
 	p := platform.New(1, 1, platform.Unlimited, platform.Unlimited)
-	res, err := Solve(tctx, g, p, Options{})
+	res, err := solveDual(g, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +57,7 @@ func TestOptimalPaperExampleMemoryFour(t *testing.T) {
 	// memory: makespan 7.
 	g := dag.PaperExample()
 	p := platform.New(1, 1, 4, 4)
-	res, err := Solve(tctx, g, p, Options{})
+	res, err := solveDual(g, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,23 +67,22 @@ func TestOptimalPaperExampleMemoryFour(t *testing.T) {
 	if err := res.Schedule.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	blue, red := res.Schedule.MemoryPeaks()
-	if blue > 4 || red > 4 {
-		t.Fatalf("peaks (%d,%d) exceed 4", blue, red)
+	if peaks := res.Schedule.MemoryPeaks(); peaks[0] > 4 || peaks[1] > 4 {
+		t.Fatalf("peaks %v exceed 4", peaks)
 	}
 }
 
 func TestInfeasibleWhenMemoryTooSmall(t *testing.T) {
 	g := dag.PaperExample()
 	p := platform.New(1, 1, 2, 2) // T3 alone needs 4
-	res, err := Solve(tctx, g, p, Options{})
+	res, err := solveDual(g, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", res.Status)
 	}
-	ok, st, err := CheckFeasible(tctx, g, p, Options{})
+	ok, st, err := CheckFeasible(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{})
 	if err != nil || ok || st != Infeasible {
 		t.Fatalf("CheckFeasible = %v/%v/%v", ok, st, err)
 	}
@@ -86,14 +91,14 @@ func TestInfeasibleWhenMemoryTooSmall(t *testing.T) {
 func TestFeasibilityOnlyStopsEarly(t *testing.T) {
 	g := dag.PaperExample()
 	p := platform.New(1, 1, 10, 10)
-	res, err := Solve(tctx, g, p, Options{FeasibilityOnly: true})
+	res, err := solveDual(g, p, Options{FeasibilityOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != Feasible || res.Schedule == nil {
 		t.Fatalf("res = %+v", res)
 	}
-	full, _ := Solve(tctx, g, p, Options{})
+	full, _ := solveDual(g, p, Options{})
 	if res.Nodes > full.Nodes {
 		t.Fatalf("feasibility search (%d nodes) slower than full search (%d)", res.Nodes, full.Nodes)
 	}
@@ -102,18 +107,18 @@ func TestFeasibilityOnlyStopsEarly(t *testing.T) {
 func TestIncumbentPrunes(t *testing.T) {
 	g := dag.PaperExample()
 	p := platform.New(1, 1, 10, 10)
-	h, err := core.MemHEFT(tctx, g, p, core.Options{})
+	h, err := multi.MemHEFT(tctx, multi.FromDual(g), multi.FromDualPlatform(p), multi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(tctx, g, p, Options{Incumbent: h})
+	res, err := solveDual(g, p, Options{Incumbent: h})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != Optimal || res.Makespan > h.Makespan() {
 		t.Fatalf("res = %+v vs heuristic %g", res, h.Makespan())
 	}
-	plain, _ := Solve(tctx, g, p, Options{})
+	plain, _ := solveDual(g, p, Options{})
 	if res.Nodes > plain.Nodes {
 		t.Fatalf("seeded search explored more nodes (%d) than unseeded (%d)", res.Nodes, plain.Nodes)
 	}
@@ -122,7 +127,7 @@ func TestIncumbentPrunes(t *testing.T) {
 func TestNodeBudgetReportsUnknownOrFeasible(t *testing.T) {
 	g := dag.Chain(6, 2, 3, 1, 1)
 	p := platform.New(1, 1, 10, 10)
-	res, err := Solve(tctx, g, p, Options{MaxNodes: 2})
+	res, err := solveDual(g, p, Options{MaxNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +140,11 @@ func TestSolveMatchesEnumerateMinimum(t *testing.T) {
 	g := dag.PaperExample()
 	for _, m := range []int64{4, 5, 20} {
 		p := platform.New(1, 1, m, m)
-		all, err := Enumerate(g, p)
+		all, err := Enumerate(multi.FromDual(g), multi.FromDualPlatform(p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(tctx, g, p, Options{})
+		res, err := solveDual(g, p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +168,7 @@ func TestSolveMatchesEnumerateMinimum(t *testing.T) {
 
 func TestEnumerateGuard(t *testing.T) {
 	g := dag.Chain(9, 1, 1, 1, 1)
-	if _, err := Enumerate(g, platform.New(1, 1, 10, 10)); err == nil {
+	if _, err := Enumerate(multi.FromDual(g), multi.FromDualPlatform(platform.New(1, 1, 10, 10))); err == nil {
 		t.Fatal("Enumerate accepted a 9-task graph")
 	}
 }
@@ -172,12 +177,12 @@ func TestOptimalNeverWorseThanHeuristics(t *testing.T) {
 	f := func(seed int64) bool {
 		g := smallRandom(seed)
 		p := platform.New(1, 1, 25, 25)
-		res, err := Solve(tctx, g, p, Options{MaxNodes: 300000})
+		res, err := solveDual(g, p, Options{MaxNodes: 300000})
 		if err != nil || res.Status == Unknown || res.Status == Feasible {
 			return true // budget blowups do not falsify the property
 		}
-		for _, f := range []core.Func{core.MemHEFT, core.MemMinMin} {
-			hs, err := f(tctx, g, p, core.Options{Seed: seed})
+		for _, f := range []multi.Func{multi.MemHEFT, multi.MemMinMin} {
+			hs, err := f(tctx, multi.FromDual(g), multi.FromDualPlatform(p), multi.Options{Seed: seed})
 			if err != nil {
 				continue
 			}
@@ -199,7 +204,7 @@ func TestOptimalSchedulesValidate(t *testing.T) {
 	f := func(seed int64) bool {
 		g := smallRandom(seed)
 		p := platform.New(1, 1, 30, 30)
-		res, err := Solve(tctx, g, p, Options{MaxNodes: 300000})
+		res, err := solveDual(g, p, Options{MaxNodes: 300000})
 		if err != nil {
 			return false
 		}
@@ -221,7 +226,7 @@ func TestLowerBoundHoldsForOptimal(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Solve(tctx, g, p, Options{MaxNodes: 300000})
+		res, err := solveDual(g, p, Options{MaxNodes: 300000})
 		if err != nil || res.Schedule == nil {
 			return true
 		}
@@ -268,7 +273,7 @@ func TestTimeoutStopsSearch(t *testing.T) {
 	// a budgeted status.
 	g := smallRandom(3)
 	p := platform.New(1, 1, 30, 30)
-	res, err := Solve(tctx, g, p, Options{Timeout: 1, MaxNodes: 1 << 30})
+	res, err := solveDual(g, p, Options{Timeout: 1, MaxNodes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +297,7 @@ func TestLowerBoundOnCyclicGraphFails(t *testing.T) {
 	if _, err := LowerBound(g, platform.New(1, 1, 1, 1)); err == nil {
 		t.Fatal("cyclic graph accepted")
 	}
-	if _, err := Solve(tctx, g, platform.New(1, 1, 1, 1), Options{}); err == nil {
+	if _, err := solveDual(g, platform.New(1, 1, 1, 1), Options{}); err == nil {
 		t.Fatal("cyclic graph accepted by Solve")
 	}
 }

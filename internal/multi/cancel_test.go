@@ -10,8 +10,8 @@ import (
 	"repro/internal/dag"
 )
 
-// Cancellation coverage for the k-pool engine, mirroring the dual-engine
-// session tests: a cancelled context must interrupt a schedule promptly
+// Cancellation coverage for the engine, mirroring the session tests: a
+// cancelled context must interrupt a schedule promptly
 // both before the ranking phase and in the middle of placement, returning
 // the context error wrapped.
 

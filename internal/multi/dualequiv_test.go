@@ -1,7 +1,6 @@
-package core
+package multi
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,70 +8,43 @@ import (
 	"repro/internal/dag"
 	"repro/internal/daggen"
 	"repro/internal/platform"
-	"repro/internal/schedule"
 )
 
-// The golden-equivalence suite: the incremental schedulers (epoch-memoized
-// candidates, heap selection, batched staircase splices, intrusive ready
-// tracking) must produce schedules bit-identical to the retained naive
-// reference implementations on every instance, feasible or not.
+// Equivalence and incremental-state checks on the paper's dual model:
+// random blue/red DAGs lifted to 2-pool instances. (The incremental-vs-
+// reference schedule equivalence on random k-column matrices, for every pool
+// count, is TestGoldenEquivalenceKPool.)
 
-// sameSchedule compares two schedules field by field with exact float
-// equality — the incremental engine must not perturb a single bit.
-func sameSchedule(t *testing.T, tag string, got, want *schedule.Schedule) {
-	t.Helper()
-	if len(got.Tasks) != len(want.Tasks) {
-		t.Fatalf("%s: %d task placements, want %d", tag, len(got.Tasks), len(want.Tasks))
+// readyByScan re-derives Ready(id) the naive way, ignoring the maintained
+// in-degree counters.
+func (st *Partial) readyByScan(id dag.TaskID) bool {
+	if st.assigned[id] {
+		return false
 	}
-	for i := range want.Tasks {
-		if got.Tasks[i] != want.Tasks[i] {
-			t.Fatalf("%s: task %d placed %+v, reference says %+v", tag, i, got.Tasks[i], want.Tasks[i])
+	for _, e := range st.g.In(id) {
+		if !st.assigned[st.g.Edge(e).From] {
+			return false
 		}
 	}
-	if len(got.CommStart) != len(want.CommStart) {
-		t.Fatalf("%s: %d comm starts, want %d", tag, len(got.CommStart), len(want.CommStart))
-	}
-	for i := range want.CommStart {
-		g, w := got.CommStart[i], want.CommStart[i]
-		if g != w && !(math.IsNaN(g) && math.IsNaN(w)) {
-			t.Fatalf("%s: comm %d starts at %g, reference says %g", tag, i, g, w)
-		}
-	}
+	return true
 }
 
-// checkPair runs an optimized scheduler and its reference on the same
-// instance and requires identical outcomes: same error classification and,
-// when both succeed, identical schedules.
-func checkPair(t *testing.T, tag string, opt, ref Func, g *dag.Graph, p platform.Platform, seed int64) (failed bool) {
-	return checkPairCached(t, tag, opt, ref, g, p, seed, nil)
+// makespanByScan re-derives MakespanSoFar the naive way, ignoring the
+// running max.
+func (st *Partial) makespanByScan() float64 {
+	ms := 0.0
+	for i, done := range st.assigned {
+		if done && st.finish[i] > ms {
+			ms = st.finish[i]
+		}
+	}
+	return ms
 }
 
-// checkPairCached is checkPair with the optimized side running under a
-// caller-owned cache set (the session configuration); a cache shared across
-// many calls must not perturb a single bit either.
-func checkPairCached(t *testing.T, tag string, opt, ref Func, g *dag.Graph, p platform.Platform, seed int64, caches *Caches) (failed bool) {
-	t.Helper()
-	so, eo := opt(tctx, g, p, Options{Seed: seed, Caches: caches})
-	sr, er := ref(tctx, g, p, Options{Seed: seed})
-	if (eo == nil) != (er == nil) {
-		t.Fatalf("%s: optimized err=%v, reference err=%v", tag, eo, er)
-	}
-	if eo != nil {
-		if !errors.Is(eo, ErrMemoryBound) || !errors.Is(er, ErrMemoryBound) {
-			t.Fatalf("%s: unexpected error kind: optimized %v, reference %v", tag, eo, er)
-		}
-		if eo.Error() != er.Error() {
-			t.Fatalf("%s: error text diverged:\noptimized: %v\nreference: %v", tag, eo, er)
-		}
-		return true
-	}
-	sameSchedule(t, tag, so, sr)
-	return false
-}
-
-// TestGoldenEquivalenceRandomSweep sweeps random DAGs of varied shapes and
-// memory pressures (from comfortable to infeasible) and asserts MemHEFT and
-// MemMinMin match their naive references exactly on every one.
+// TestGoldenEquivalenceRandomSweep sweeps daggen DAGs of varied shapes
+// and memory pressures (from comfortable to infeasible), calibrated on the
+// unbounded run's peak, and asserts MemHEFT and MemMinMin match their naive
+// references exactly on every one.
 func TestGoldenEquivalenceRandomSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	sizes := []int{5, 12, 30, 60}
@@ -86,25 +58,27 @@ func TestGoldenEquivalenceRandomSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		in := FromDual(g)
 		p := platform.New(1+rng.Intn(3), 1+rng.Intn(3), platform.Unlimited, platform.Unlimited)
 		// Peak memory of the unbounded run calibrates the pressure.
-		s, err := MemHEFT(tctx, g, p, Options{Seed: seed})
+		s, err := MemHEFT(tctx, in, FromDualPlatform(p), Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		peakBlue, peakRed := s.MemoryPeaks()
-		peak := peakBlue
-		if peakRed > peak {
-			peak = peakRed
+		var peak int64
+		for _, m := range s.MemoryPeaks() {
+			if m > peak {
+				peak = m
+			}
 		}
 		// One cache set per graph, shared across the whole pressure
 		// sweep — the exact configuration a session runs with.
 		caches := NewCaches()
 		for _, alpha := range alphas {
 			bound := int64(alpha * float64(peak))
-			bp := p.WithBounds(bound, bound)
-			checkPairCached(t, "memheft", MemHEFT, MemHEFTReference, g, bp, seed, caches)
-			checkPairCached(t, "memminmin", MemMinMin, MemMinMinReference, g, bp, seed, caches)
+			bp := FromDualPlatform(p.WithBounds(bound, bound))
+			checkPairCached(t, "memheft", MemHEFT, MemHEFTReference, in, bp, seed, caches)
+			checkPairCached(t, "memminmin", MemMinMin, MemMinMinReference, in, bp, seed, caches)
 			runs += 2
 		}
 	}
@@ -114,48 +88,57 @@ func TestGoldenEquivalenceRandomSweep(t *testing.T) {
 }
 
 // TestGoldenEquivalenceLowMemoryFailures drives both schedulers into the
-// ErrMemoryBound path and checks the failure reports match the references.
+// ErrMemoryBound path on a dual graph and checks the failure reports match
+// the references.
 func TestGoldenEquivalenceLowMemoryFailures(t *testing.T) {
 	g, err := daggen.Generate(daggen.SmallParams(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := platform.New(2, 2, 1, 1) // far below any peak: must fail identically
-	hFailed := checkPair(t, "memheft-fail", MemHEFT, MemHEFTReference, g, p, 5)
-	mFailed := checkPair(t, "memminmin-fail", MemMinMin, MemMinMinReference, g, p, 5)
+	in := FromDual(g)
+	p := FromDualPlatform(platform.New(2, 2, 1, 1)) // far below any peak: must fail identically
+	hFailed := checkPairCached(t, "memheft-fail", MemHEFT, MemHEFTReference, in, p, 5, nil)
+	mFailed := checkPairCached(t, "memminmin-fail", MemMinMin, MemMinMinReference, in, p, 5, nil)
 	if !hFailed || !mFailed {
 		t.Fatal("expected both schedulers to hit the memory bound")
 	}
 }
 
 // TestGoldenEquivalenceInsertionPolicy checks the insertion-based variant
-// against a reference run with caching disabled, exercising the shared
-// static-part and commit machinery under the gap-filling policy.
+// against a reference run that bypasses the candidate memo and the
+// incremental list scan, exercising the shared static-part and commit
+// machinery under the gap-filling policy.
 func TestGoldenEquivalenceInsertionPolicy(t *testing.T) {
 	g, err := daggen.Generate(daggen.SmallParams(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := platform.New(2, 2, 400, 400)
-	got, err := MemHEFTInsertion(tctx, g, p, Options{Seed: 3})
+	in := FromDual(g)
+	p := FromDualPlatform(platform.New(2, 2, 400, 400))
+	got, err := MemHEFTInsertion(tctx, in, p, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference: same algorithm with the incremental caches bypassed.
-	remaining, err := PriorityList(nil, g, 3)
+	// Reference: same algorithm, every candidate recomputed, readiness
+	// by scan, mid-slice deletes.
+	remaining, err := PriorityList(nil, in, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewPartial(g, p)
+	st := NewPartial(in, p)
 	st.ins = newInsertionState(p.TotalProcs())
-	st.noCache = true
 	for len(remaining) > 0 {
 		placed := false
 		for index, id := range remaining {
 			if !st.readyByScan(id) {
 				continue
 			}
-			c := st.Best(id)
+			c := Candidate{Task: id, Pool: -1, EST: inf, EFT: inf}
+			for k := 0; k < p.NumPools(); k++ {
+				if ck := st.evaluate(id, k); ck.EFT < c.EFT {
+					c = ck
+				}
+			}
 			if !c.Feasible() {
 				continue
 			}
@@ -179,10 +162,8 @@ func TestIncrementalStateMatchesScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := platform.New(2, 1, platform.Unlimited, platform.Unlimited)
-	st := NewPartial(g, p)
+	st := NewPartial(FromDual(g), FromDualPlatform(platform.New(2, 1, platform.Unlimited, platform.Unlimited)))
 	for !st.Done() {
-		// Naive ready scan.
 		var want []dag.TaskID
 		for i := 0; i < g.NumTasks(); i++ {
 			if st.readyByScan(dag.TaskID(i)) {
@@ -232,8 +213,9 @@ func TestCloneIntoIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := platform.New(2, 2, 300, 300)
-	st := NewPartial(g, p)
+	in := FromDual(g)
+	p := FromDualPlatform(platform.New(2, 2, 300, 300))
+	st := NewPartial(in, p)
 	// Warm the caches and commit a couple of tasks.
 	for k := 0; k < 2; k++ {
 		ready := st.ReadyTasks()
@@ -247,7 +229,7 @@ func TestCloneIntoIndependence(t *testing.T) {
 		st.Commit(c)
 	}
 	clone := st.CloneInto(nil)
-	dirty := NewPartial(g, p) // pooled target with unrelated state
+	dirty := NewPartial(in, p) // pooled target with unrelated state
 	clone2 := st.CloneInto(dirty)
 	if clone2 != dirty {
 		t.Fatal("CloneInto did not reuse the target")
@@ -275,14 +257,33 @@ func TestCloneIntoIndependence(t *testing.T) {
 			t.Fatalf("committing to a clone changed the original's ready list: %v, want %v", got, readyBefore)
 		}
 	}
-	// The original still schedules to the same result as a fresh run.
-	want, err := MemMinMinReference(tctx, g, p, Options{Seed: 1})
+	// The original still completes exactly like a clone taken now and
+	// completed independently (both by MemMinMin's min-EFT rule).
+	finish := func(st *Partial) *Schedule {
+		for !st.Done() {
+			best := Candidate{EFT: math.Inf(1)}
+			for _, id := range st.ReadyTasks() {
+				if c := st.Best(id); c.EFT < best.EFT {
+					best = c
+				}
+			}
+			if !best.Feasible() {
+				t.Fatal("blocked while finishing")
+			}
+			st.Commit(best)
+		}
+		return st.Schedule()
+	}
+	twin := st.Clone()
+	sameSchedule(t, "post-clone", finish(st), finish(twin))
+	// And the engine is unaffected by any of it.
+	want, err := MemMinMinReference(tctx, in, p, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := MemMinMin(tctx, g, p, Options{Seed: 1})
+	got2, err := MemMinMin(tctx, in, p, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSchedule(t, "post-clone", got2, want)
+	sameSchedule(t, "post-clone engine", got2, want)
 }

@@ -13,8 +13,8 @@ import (
 // schedulers (epoch-memoized candidates per (task, pool), heap selection,
 // batched staircase splices, intrusive ready tracking, session memos) must
 // produce schedules bit-identical to the retained naive reference
-// implementations on every instance, feasible or not — the same proof
-// obligation internal/core discharges for the dual engine.
+// implementations on every instance, feasible or not (dualequiv_test.go
+// runs the same obligation on the paper's dual model).
 
 // sameSchedule compares two k-pool schedules field by field with exact
 // float equality.
@@ -168,9 +168,10 @@ func TestGoldenEquivalenceAsymmetricPools(t *testing.T) {
 	}
 }
 
-// TestRecycledPartialKeepsSchedulesIndependent guards the Partial recycling
-// path: the schedule returned by one run must stay intact after the session
-// cache recycles the partial's buffers into a later run.
+// TestRecycledPartialKeepsSchedulesIndependent guards schedule ownership
+// across runs sharing one cache set: the schedule returned by one run must
+// stay intact after later runs on the same caches (a run's scratch is
+// allocated per run and nothing of it may alias an escaped schedule).
 func TestRecycledPartialKeepsSchedulesIndependent(t *testing.T) {
 	in := randomInstance(11, 25, 3)
 	total := totalFiles(in)
@@ -181,16 +182,16 @@ func TestRecycledPartialKeepsSchedulesIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapshot := append([]Placement(nil), first.Tasks...)
-	// A second run with a different seed recycles the first run's partial.
+	// A second run with a different seed on the same caches.
 	if _, err := MemHEFT(tctx, in, p, Options{Seed: 2, Caches: caches}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range snapshot {
 		if first.Tasks[i] != snapshot[i] {
-			t.Fatalf("recycling corrupted the first schedule at task %d: %+v vs %+v", i, first.Tasks[i], snapshot[i])
+			t.Fatalf("a later run corrupted the first schedule at task %d: %+v vs %+v", i, first.Tasks[i], snapshot[i])
 		}
 	}
 	if err := first.Validate(); err != nil {
-		t.Fatalf("first schedule no longer valid after recycling: %v", err)
+		t.Fatalf("first schedule no longer valid after a later run: %v", err)
 	}
 }

@@ -7,16 +7,15 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/trace"
 )
 
 // ErrMemoryBound is returned (wrapped) when a heuristic cannot fit the
-// instance in the pool capacities. It is the same sentinel as the
-// dual-memory engine's, so one errors.Is check covers both engines.
-var ErrMemoryBound = core.ErrMemoryBound
+// instance in the pool capacities.
+var ErrMemoryBound = errors.New("memsched: graph cannot be processed within the memory bounds")
 
 // Options tunes a heuristic run. The zero value is ready to use.
 type Options struct {
@@ -35,7 +34,7 @@ type Options struct {
 
 	// Record, when non-nil, receives this run's committed placement
 	// sequence (reset first, Complete set only on full success) so a later
-	// run can warm-start from it.
+	// run can warm-start from it. Ignored by the insertion ablation.
 	Record *Trace
 
 	// Replay, when non-nil, is a previously recorded trace whose verified
@@ -66,13 +65,60 @@ type RunStats struct {
 	ReplayTruncated bool
 }
 
-// Func is the common signature of the generalised heuristics.
+// Func is the common signature of the heuristics. The context is checked
+// cooperatively in the scheduling loop; cancellation returns ctx.Err()
+// wrapped. A nil context never cancels.
 type Func func(ctx context.Context, in *Instance, p Platform, opt Options) (*Schedule, error)
+
+// HEFT is the classical memory-oblivious heuristic of Topcuoglu et al.,
+// obtained by running MemHEFT with unlimited memories (the paper notes in
+// §6.2.1 that the decisions then coincide). The capacities of p are
+// ignored.
+func HEFT(ctx context.Context, in *Instance, p Platform, opt Options) (*Schedule, error) {
+	return MemHEFT(ctx, in, p.Unbounded(), opt)
+}
+
+// MinMin is the classical memory-oblivious MinMin heuristic of Braun et
+// al., obtained by running MemMinMin with unlimited memories. The
+// capacities of p are ignored.
+func MinMin(ctx context.Context, in *Instance, p Platform, opt Options) (*Schedule, error) {
+	return MemMinMin(ctx, in, p.Unbounded(), opt)
+}
+
+// Algorithms is the scheduler registry: the four heuristics of the paper by
+// their paper names, plus the insertion-policy ablation.
+var Algorithms = map[string]Func{
+	"heft":              HEFT,
+	"minmin":            MinMin,
+	"memheft":           MemHEFT,
+	"memminmin":         MemMinMin,
+	"memheft-insertion": MemHEFTInsertion,
+}
+
+// Names returns the registered scheduler names, sorted.
+func Names() []string {
+	names := make([]string, 0, len(Algorithms))
+	for name := range Algorithms {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// ByName returns the heuristic registered under name (case-insensitive,
+// surrounding space ignored) or an error listing the registered names.
+func ByName(name string) (Func, error) {
+	if f, ok := Algorithms[strings.ToLower(strings.TrimSpace(name))]; ok {
+		return f, nil
+	}
+	return nil, fmt.Errorf("memsched: unknown heuristic %q (registered: %s)", name, strings.Join(Names(), ", "))
+}
 
 var inf = math.Inf(1)
 
 // cancelStride is how many main-loop iterations pass between cooperative
-// context checks, matching the dual engine's stride.
+// context checks: frequent enough to interrupt sweeps promptly, sparse
+// enough to be invisible in the per-schedule benchmarks.
 const cancelStride = 64
 
 // ctxErr polls ctx every cancelStride-th step (nil ctx never cancels).
@@ -128,13 +174,27 @@ func priorityFromRanks(in *Instance, ranks []float64, seed int64) []dag.TaskID {
 // schedule the first ready task that currently fits, restart from the head
 // after every assignment.
 //
-// The scan is incremental, mirroring the dual engine: ready-ness checks are
+// The scan is incremental: ready-ness checks are
 // O(1), Best serves memoized candidates for entries whose pool epochs and
 // parents are unchanged since the last pass, and scheduled tasks are
 // skipped in place and compacted lazily. Commit order — and therefore the
 // schedule — is identical to MemHEFTReference (see naive.go). The context
 // is checked cooperatively; cancellation returns ctx.Err() wrapped.
 func MemHEFT(ctx context.Context, in *Instance, p Platform, opt Options) (*Schedule, error) {
+	return memHEFT(ctx, in, p, opt, false)
+}
+
+// MemHEFTInsertion runs Algorithm 1 with classical HEFT's insertion-based
+// processor selection instead of the paper's append policy (see
+// insertion.go). Everything else — priority list, memory accounting, ALAP
+// communications — is identical. It neither records nor replays traces.
+func MemHEFTInsertion(ctx context.Context, in *Instance, p Platform, opt Options) (*Schedule, error) {
+	return memHEFT(ctx, in, p, opt, true)
+}
+
+// memHEFT is Algorithm 1, optionally with the insertion-based processor
+// policy.
+func memHEFT(ctx context.Context, in *Instance, p Platform, opt Options, insertion bool) (*Schedule, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("multi: MemHEFT interrupted: %w", err)
@@ -155,8 +215,13 @@ func MemHEFT(ctx context.Context, in *Instance, p Platform, opt Options) (*Sched
 	}
 	st := NewPartialCached(in, p, opt.Caches)
 	endStatics()
-	defer opt.Caches.Recycle(st)
 	defer st.reportStats(opt.Stats)
+	if insertion {
+		// The insertion ablation's commits depend on idle-gap state that a
+		// trace does not capture; it neither records nor replays.
+		st.ins = newInsertionState(p.TotalProcs())
+		opt.Record, opt.Replay = nil, nil
+	}
 	rec := opt.Record
 	endReplay := trace.Start(ctx, "replay")
 	replayed, err := st.beginRun(ctx, p, opt)
@@ -245,7 +310,6 @@ func MemMinMin(ctx context.Context, in *Instance, p Platform, opt Options) (*Sch
 	}
 	st := NewPartialCached(in, p, opt.Caches)
 	endStatics()
-	defer opt.Caches.Recycle(st)
 	defer st.reportStats(opt.Stats)
 	g := in.G
 

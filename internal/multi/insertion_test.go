@@ -1,4 +1,4 @@
-package core
+package multi
 
 import (
 	"testing"
@@ -49,7 +49,7 @@ func TestMemHEFTInsertionProducesValidSchedules(t *testing.T) {
 		g := randomDAG(seed, 20)
 		for _, bound := range []int64{40, platform.Unlimited} {
 			p := platform.New(2, 2, bound, bound)
-			s, err := MemHEFTInsertion(tctx, g, p, Options{Seed: seed})
+			s, err := dualMemHEFTInsertion(tctx, g, p, Options{Seed: seed})
 			if err != nil {
 				continue
 			}
@@ -72,10 +72,10 @@ func TestInsertionNeverWorsePerDecision(t *testing.T) {
 	// From the same partial state, the insertion policy's EST is <= the
 	// append policy's EST for every (task, memory) pair: a queue tail is
 	// always also a gap.
-	g := dag.PaperExample()
-	p := platform.New(1, 1, 100, 100)
-	app := NewPartial(g, p)
-	ins := NewPartial(g, p)
+	in := FromDual(dag.PaperExample())
+	p := FromDualPlatform(platform.New(1, 1, 100, 100))
+	app := NewPartial(in, p)
+	ins := NewPartial(in, p)
 	ins.ins = newInsertionState(p.TotalProcs())
 
 	// Drive both with the same commits (from the append policy).
@@ -83,11 +83,11 @@ func TestInsertionNeverWorsePerDecision(t *testing.T) {
 		var chosen Candidate
 		found := false
 		for _, id := range app.ReadyTasks() {
-			for _, mu := range platform.Memories {
-				ca := app.Evaluate(id, mu)
-				ci := ins.Evaluate(id, mu)
+			for k := 0; k < p.NumPools(); k++ {
+				ca := app.Evaluate(id, k)
+				ci := ins.Evaluate(id, k)
 				if ca.Feasible() && ci.EST > ca.EST+1e-9 {
-					t.Fatalf("task %d on %v: insertion EST %g > append EST %g", id, mu, ci.EST, ca.EST)
+					t.Fatalf("task %d on pool %d: insertion EST %g > append EST %g", id, k, ci.EST, ca.EST)
 				}
 				if ca.Feasible() && !found {
 					chosen, found = ca, true
@@ -98,7 +98,7 @@ func TestInsertionNeverWorsePerDecision(t *testing.T) {
 			t.Fatal("stuck")
 		}
 		app.Commit(chosen)
-		ins.Commit(ins.Evaluate(chosen.Task, chosen.Mem))
+		ins.Commit(ins.Evaluate(chosen.Task, chosen.Pool))
 	}
 }
 
@@ -121,11 +121,11 @@ func TestInsertionFillsGap(t *testing.T) {
 	// property: insertion's makespan <= append's makespan on this
 	// instance for the same seed.
 	for seed := int64(0); seed < 10; seed++ {
-		a, err := MemHEFT(tctx, g, p, Options{Seed: seed})
+		a, err := dualMemHEFT(tctx, g, p, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := MemHEFTInsertion(tctx, g, p, Options{Seed: seed})
+		b, err := dualMemHEFTInsertion(tctx, g, p, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestInsertionZeroDurationTasks(t *testing.T) {
 	g.MustAddEdge(a, b, 1, 1)
 	g.MustAddEdge(b, c, 1, 1)
 	p := platform.New(1, 0, 10, 0)
-	s, err := MemHEFTInsertion(tctx, g, p, Options{Seed: 1})
+	s, err := dualMemHEFTInsertion(tctx, g, p, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

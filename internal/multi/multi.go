@@ -13,15 +13,46 @@
 // averages processing times over all pools, and the earliest-start-time
 // computation evaluates every pool with the same four components
 // (resource, precedence, task memory, communication memory). With exactly
-// two pools the algorithms reproduce the decisions of internal/core
-// bit-for-bit, which the tests verify.
+// two pools they are the paper's MemHEFT (Algorithm 1) and MemMinMin
+// (Algorithm 2), and HEFT and MinMin are the same loops on unlimited
+// memories. For a task i and a pool mu, EST(mu, i) is the max of
 //
-// The engine is incremental, running the same architecture as the dual
-// fast path: an epoch-memoized Partial (see partial.go), session-owned
-// memos in Caches (mean ranks, priority lists, statics, validation,
-// recycled buffers), and batched staircase splices. The pre-incremental
-// eager code is retained in naive.go as MemHEFTReference / MemMinMinReference,
-// the oracles the golden-equivalence tests compare against.
+//   - resource_EST:    a processor of mu is free;
+//   - precedence_EST:  parents finished, plus the communication delay for
+//     parents living on another pool;
+//   - task_mem_EST:    from the start of i onward the pool holds the
+//     not-yet-present input files plus all output files;
+//   - comm_mem_EST+C:  from the start of the incoming communications onward
+//     the pool holds the in-flight input files; all cross communications
+//     are scheduled as late as possible with the uniform conservative
+//     duration C(mu,i) = max cross-parent C(j,i).
+//
+// EFT(mu,i) = EST(mu,i) + W(mu,i); the task goes to the pool minimising
+// EFT (lowest index on ties) and, inside it, to the processor minimising
+// idle time.
+//
+// Note on the paper's notation: §5.1 writes delta(mu,j) = 0 when j runs on
+// memory mu, but then uses (1-delta) to select the *cross* input files in
+// task_mem_EST/comm_mem_EST. The prose ("input files of task i that were
+// not stored on memory mu yet") makes the intent unambiguous, so this
+// package follows the prose: cross parents contribute both the
+// communication delay in precedence_EST and the file sizes in the two
+// memory ESTs.
+//
+// With two pools the dual model is
+// the 2-pool instance (FromDual, FromDualPlatform; pool 0 blue, pool 1
+// red), and this package is the one list-scheduling engine behind every
+// dual and k-pool session. The goldens of the root package pin its dual
+// results to those of the retired dual-only engine.
+//
+// The engine is incremental: an epoch-memoized Partial (see partial.go),
+// session-owned memos in Caches (mean ranks, priority lists, statics,
+// validation), and batched staircase splices; run scratch is allocated per
+// run. The pre-incremental eager code is retained in naive.go as
+// MemHEFTReference / MemMinMinReference, the oracles the golden-equivalence
+// tests compare against. HEFT's insertion-based processor policy is the
+// MemHEFTInsertion ablation (insertion.go), and the exported Partial with
+// CloneInto serves the branch-and-bound search of internal/exact.
 package multi
 
 import (
@@ -34,7 +65,7 @@ import (
 )
 
 // rankStride is how many tasks the ranking/statics loops process between
-// cooperative context polls, matching the dual engine's stride.
+// cooperative context polls.
 const rankStride = 1024
 
 // Pool is one memory with its attached identical processors.
@@ -63,8 +94,8 @@ func FromDualPlatform(p platform.Platform) Platform {
 
 // Dual projects a 2-pool platform back onto the dual-memory model (pool 0
 // blue, pool 1 red); ok is false for any other pool count. This is the
-// bridge the session layer uses to route 2-pool requests onto the
-// incremental dual-memory engine.
+// bridge the session layer uses to hand dual sessions their 2-pool
+// schedules as dual ones.
 func (p Platform) Dual() (dp platform.Platform, ok bool) {
 	if len(p.Pools) != 2 {
 		return platform.Platform{}, false
@@ -175,12 +206,16 @@ func NewInstance(g *dag.Graph, times [][]float64) *Instance {
 }
 
 // FromDual converts a dual-memory graph into a 2-pool instance whose pool 0
-// carries the blue times and pool 1 the red times.
+// carries the blue times and pool 1 the red times. The rows share one
+// backing array.
 func FromDual(g *dag.Graph) *Instance {
-	times := make([][]float64, g.NumTasks())
-	for i := 0; i < g.NumTasks(); i++ {
+	n := g.NumTasks()
+	flat := make([]float64, 2*n)
+	times := make([][]float64, n)
+	for i := range times {
 		t := g.Task(dag.TaskID(i))
-		times[i] = []float64{t.WBlue, t.WRed}
+		flat[2*i], flat[2*i+1] = t.WBlue, t.WRed
+		times[i] = flat[2*i : 2*i+2 : 2*i+2]
 	}
 	return &Instance{G: g, Times: times}
 }
@@ -228,7 +263,6 @@ func (in *Instance) MeanRanks(ctx context.Context) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	nPools := len(in.Times[0])
 	rank := make([]float64, in.G.NumTasks())
 	for step, id := range rev {
 		if ctx != nil && step%rankStride == 0 {
@@ -240,7 +274,7 @@ func (in *Instance) MeanRanks(ctx context.Context) ([]float64, error) {
 		for _, w := range in.Times[id] {
 			mean += w
 		}
-		mean /= float64(nPools)
+		mean /= float64(len(in.Times[id]))
 		best := 0.0
 		for _, e := range in.G.Out(id) {
 			edge := in.G.Edge(e)

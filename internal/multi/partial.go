@@ -8,9 +8,17 @@ import (
 	"repro/internal/platform"
 )
 
-// Partial is the k-pool partial schedule under construction — the direct
-// generalisation of core.Partial, carrying the same incremental engine the
-// dual-memory scheduler grew in PR 1:
+// Partial is a partial schedule under construction: the placements
+// committed so far, the per-processor availability times, and one
+// free-memory staircase per pool. MemHEFT and MemMinMin drive it
+// internally; it is exported so that the branch-and-bound search of
+// internal/exact can explore the same decision space with identical
+// semantics (see Clone and CloneInto).
+//
+// Incremental engine. A Commit perturbs very little of the state — one
+// processor of one pool, the staircases the committed task's files live
+// on, and the readiness of its children — so Partial maintains just enough
+// bookkeeping to re-derive only what changed:
 //
 //   - ready-ness is tracked intrusively with per-task uncommitted-parent
 //     counters and an ID-sorted ready list (Ready is O(1));
@@ -71,6 +79,11 @@ type Partial struct {
 	// hits and misses count memoized candidate lookups served fresh vs
 	// recomputed; sessions surface the ratio in their result stats.
 	hits, misses uint64
+
+	// ins, when non-nil, switches processor selection to classical
+	// HEFT's insertion-based policy (see insertion.go). The paper's
+	// algorithms leave it nil (append policy).
+	ins *insertionState
 }
 
 // evalSlot is the memoized evaluation state of one (task, pool) pair. The
@@ -111,80 +124,106 @@ func NewPartial(in *Instance, p Platform) *Partial {
 
 // NewPartialCached is NewPartial serving the per-instance statics from c (a
 // nil c computes them fresh).
+//
+// Every buffer of the returned Partial is allocated here and dropped with
+// it: a run's O(n·k) scratch never outlives the run.
 func NewPartialCached(in *Instance, p Platform, c *Caches) *Partial {
-	st := c.getSpare()
-	st.reset(in, p, c.staticsOf(in))
-	return st
-}
-
-// reset (re)initialises st for a fresh run of in on p, reusing every buffer
-// whose capacity still fits. The schedule itself is always allocated fresh:
-// it escapes to the caller when the run completes.
-func (st *Partial) reset(in *Instance, p Platform, gs *instanceStatics) {
+	gs := c.staticsOf(in)
 	n, k := in.G.NumTasks(), p.NumPools()
-	st.in, st.g, st.edges, st.p, st.k = in, in.G, in.G.Edges(), p, k
-
-	st.procLo = resize(st.procLo, k)
-	st.procHi = resize(st.procHi, k)
+	st := &Partial{
+		in:          in,
+		g:           in.G,
+		edges:       in.G.Edges(),
+		p:           p,
+		k:           k,
+		procLo:      make([]int, k),
+		procHi:      make([]int, k),
+		sched:       NewSchedule(in, p),
+		free:        make([]*memfn.Staircase, k),
+		unbounded:   make([]bool, k),
+		availProc:   make([]float64, p.TotalProcs()),
+		assigned:    make([]bool, n),
+		finish:      make([]float64, n),
+		taskPool:    make([]int32, n),
+		pending:     append([]int(nil), gs.inDegree...),
+		epoch:       make([]uint64, k),
+		parentStamp: make([]uint64, n),
+		slots:       make([]evalSlot, n*k),
+		outFiles:    gs.outFiles,
+		crossAmt:    make([]int64, k),
+		poolTasks:   make([]int, k),
+	}
 	lo := 0
 	for j, pool := range p.Pools {
 		st.procLo[j], st.procHi[j] = lo, lo+pool.Procs
 		lo += pool.Procs
-	}
-
-	st.sched = NewSchedule(in, p)
-	if cap(st.free) < k {
-		st.free = make([]*memfn.Staircase, k)
-	}
-	st.free = st.free[:k]
-	st.unbounded = resize(st.unbounded, k)
-	for j, pool := range p.Pools {
-		if st.free[j] == nil {
-			st.free[j] = memfn.New(pool.Capacity)
-		} else {
-			st.free[j].Reset(pool.Capacity)
-		}
+		st.free[j] = memfn.New(pool.Capacity)
 		st.unbounded[j] = pool.Capacity >= platform.Unlimited
 	}
-
-	st.availProc = resize(st.availProc, lo)
-	st.assigned = resize(st.assigned, n)
-	st.finish = resize(st.finish, n)
-	st.taskPool = resize(st.taskPool, n)
 	for i := range st.taskPool {
 		st.taskPool[i] = -1
 	}
-	st.nDone = 0
-
-	st.pending = append(st.pending[:0], gs.inDegree...)
-	st.ready = append(st.ready[:0], gs.sources...)
-	st.newlyReady = st.newlyReady[:0]
-	st.makespan = 0
-
-	st.commitSeq = 0
-	st.epoch = resize(st.epoch, k)
-	st.parentStamp = resize(st.parentStamp, n)
-	if cap(st.slots) < n*k {
-		st.slots = make([]evalSlot, n*k)
-	} else {
-		st.slots = st.slots[:n*k]
-		clear(st.slots)
-	}
-	st.outFiles = gs.outFiles
-	st.crossAmt = resize(st.crossAmt, k)
-	st.poolTasks = resize(st.poolTasks, k)
-	st.hits, st.misses = 0, 0
+	st.ready = make([]dag.TaskID, len(gs.sources), n)
+	copy(st.ready, gs.sources)
+	return st
 }
 
-// resize returns s with length n and every element zeroed, reusing the
-// backing array when it is large enough.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
+// Clone returns an independent deep copy, for tree search.
+func (st *Partial) Clone() *Partial { return st.CloneInto(nil) }
+
+// CloneInto deep-copies st into dst, reusing dst's storage when possible,
+// and returns dst. A nil dst allocates a fresh Partial; internal/exact
+// keeps a free list of exhausted nodes and clones into them to avoid
+// churning the allocator at every search node. The instance, platform and
+// per-instance statics are immutable and shared.
+func (st *Partial) CloneInto(dst *Partial) *Partial {
+	if dst == nil {
+		dst = &Partial{}
 	}
-	s = s[:n]
-	clear(s)
-	return s
+	dst.in, dst.g, dst.edges, dst.p, dst.k = st.in, st.g, st.edges, st.p, st.k
+	dst.procLo = append(dst.procLo[:0], st.procLo...)
+	dst.procHi = append(dst.procHi[:0], st.procHi...)
+	if dst.sched == nil {
+		dst.sched = &Schedule{}
+	}
+	dst.sched.Inst, dst.sched.Platform = st.sched.Inst, st.sched.Platform
+	dst.sched.Tasks = append(dst.sched.Tasks[:0], st.sched.Tasks...)
+	dst.sched.CommStart = append(dst.sched.CommStart[:0], st.sched.CommStart...)
+	if len(dst.free) != len(st.free) {
+		dst.free = make([]*memfn.Staircase, len(st.free))
+	}
+	for j, f := range st.free {
+		dst.free[j] = f.CloneInto(dst.free[j])
+	}
+	dst.availProc = append(dst.availProc[:0], st.availProc...)
+	dst.assigned = append(dst.assigned[:0], st.assigned...)
+	dst.finish = append(dst.finish[:0], st.finish...)
+	dst.taskPool = append(dst.taskPool[:0], st.taskPool...)
+	dst.nDone = st.nDone
+	dst.pending = append(dst.pending[:0], st.pending...)
+	dst.ready = append(dst.ready[:0], st.ready...)
+	dst.newlyReady = dst.newlyReady[:0]
+	dst.makespan = st.makespan
+	dst.commitSeq = st.commitSeq
+	dst.epoch = append(dst.epoch[:0], st.epoch...)
+	dst.parentStamp = append(dst.parentStamp[:0], st.parentStamp...)
+	dst.slots = append(dst.slots[:0], st.slots...)
+	dst.outFiles = st.outFiles // immutable, shared
+	dst.unbounded = append(dst.unbounded[:0], st.unbounded...)
+	dst.crossAmt = append(dst.crossAmt[:0], st.crossAmt...) // all zero between commits
+	dst.poolTasks = append(dst.poolTasks[:0], st.poolTasks...)
+	dst.hits, dst.misses = st.hits, st.misses
+	if st.ins == nil {
+		dst.ins = nil
+	} else {
+		if dst.ins == nil || len(dst.ins.busy) != len(st.ins.busy) {
+			dst.ins = newInsertionState(len(st.ins.busy))
+		}
+		for i, list := range st.ins.busy {
+			dst.ins.busy[i] = append(dst.ins.busy[i][:0], list...)
+		}
+	}
+	return dst
 }
 
 // Schedule returns the underlying schedule (complete only when Done).
@@ -325,8 +364,13 @@ func (st *Partial) Evaluate(id dag.TaskID, k int) Candidate {
 	return c
 }
 
-// evaluate is the uncached candidate computation.
+// evaluate is the uncached candidate computation. With the insertion
+// policy enabled the resource component searches idle gaps instead of
+// queue tails.
 func (st *Partial) evaluate(id dag.TaskID, k int) Candidate {
+	if st.ins != nil {
+		return st.evaluateInsertion(id, k)
+	}
 	c := Candidate{Task: id, Pool: k, EST: inf, EFT: inf}
 
 	// resource_EST: earliest availability among the pool's processors.
@@ -380,8 +424,8 @@ func (st *Partial) evaluate(id dag.TaskID, k int) Candidate {
 }
 
 // Best returns the minimum-EFT candidate of a ready task over all pools
-// (lowest pool index wins ties, matching core's blue preference in the
-// 2-pool case). The returned candidate may be infeasible on every pool
+// (lowest pool index wins ties: blue before red on the paper's dual
+// platform). The returned candidate may be infeasible on every pool
 // (EFT = +inf).
 func (st *Partial) Best(id dag.TaskID) Candidate {
 	b := Candidate{Task: id, Pool: -1, EST: inf, EFT: inf}
@@ -516,6 +560,10 @@ func (st *Partial) commitFiles(id dag.TaskID, k int, start, fin, cmu float64) {
 // task_mem_EST and comm_mem_EST, so Commit never drives a staircase
 // negative.
 func (st *Partial) Commit(c Candidate) {
+	if st.ins != nil {
+		st.commitInsertion(c)
+		return
+	}
 	id, k := c.Task, c.Pool
 	w := st.in.Times[id][k]
 	start, fin := c.EST, c.EST+w

@@ -1,23 +1,21 @@
 package multi
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/dag"
+	"repro/internal/schedule"
 )
 
-// Eps is the float tolerance for event-time comparisons.
-const Eps = 1e-9
+// Eps is the float tolerance for event-time comparisons, the dual model's.
+const Eps = schedule.Eps
 
-// Placement records where and when one task runs.
-type Placement struct {
-	Start float64
-	Proc  int // global processor index
-}
+// Placement records where and when one task runs: its start time and its
+// global processor index. It is the dual model's placement type, so a
+// 2-pool schedule projects onto a dual one without copying its placements.
+type Placement = schedule.TaskPlacement
 
 // Schedule is a complete mapping of an instance onto a multi-pool platform.
 type Schedule struct {
@@ -112,38 +110,6 @@ func (s *Schedule) residencies() []residency {
 	return rs
 }
 
-// peakEvent is one residency boundary of the MemoryPeaks sweep: +size when
-// a file's interval opens, -size when it closes.
-type peakEvent struct {
-	t     float64
-	delta int64
-}
-
-// comparePeakEvents orders sweep events by time, treating times within Eps
-// as equal and then putting releases before acquisitions.
-func comparePeakEvents(a, b peakEvent) int {
-	if math.Abs(a.t-b.t) > Eps {
-		if a.t < b.t {
-			return -1
-		}
-		return 1
-	}
-	return cmp.Compare(a.delta, b.delta)
-}
-
-// sweepPeak sorts one pool's events and returns the highest running sum.
-func sweepPeak(evs []peakEvent) int64 {
-	slices.SortFunc(evs, comparePeakEvents)
-	var cur, peak int64
-	for _, e := range evs {
-		cur += e.delta
-		if cur > peak {
-			peak = cur
-		}
-	}
-	return peak
-}
-
 // MemoryPeaks returns the peak usage of every pool. It sweeps the
 // residency intervals of residencies as open/close events per pool, built
 // straight into one presized buffer in the same order residencies would
@@ -171,8 +137,8 @@ func (s *Schedule) MemoryPeaks() []int64 {
 	for p := 1; p <= k; p++ {
 		offs[p] += offs[p-1]
 	}
-	buf := make([]peakEvent, offs[k])
-	evs := make([][]peakEvent, k)
+	buf := make([]schedule.PeakEvent, offs[k])
+	evs := make([][]schedule.PeakEvent, k)
 	for p := range evs {
 		evs[p] = buf[offs[p]:offs[p]:offs[p+1]]
 	}
@@ -183,16 +149,16 @@ func (s *Schedule) MemoryPeaks() []int64 {
 		src, dst := pool[edge.From], pool[edge.To]
 		prodStart := s.Tasks[edge.From].Start
 		if src == dst {
-			evs[src] = append(evs[src], peakEvent{prodStart, edge.File}, peakEvent{finish[edge.To], -edge.File})
+			evs[src] = append(evs[src], schedule.PeakEvent{T: prodStart, Delta: edge.File}, schedule.PeakEvent{T: finish[edge.To], Delta: -edge.File})
 			continue
 		}
 		tau := s.CommStart[e]
-		evs[src] = append(evs[src], peakEvent{prodStart, edge.File}, peakEvent{tau + edge.Comm, -edge.File})
-		evs[dst] = append(evs[dst], peakEvent{tau, edge.File}, peakEvent{finish[edge.To], -edge.File})
+		evs[src] = append(evs[src], schedule.PeakEvent{T: prodStart, Delta: edge.File}, schedule.PeakEvent{T: tau + edge.Comm, Delta: -edge.File})
+		evs[dst] = append(evs[dst], schedule.PeakEvent{T: tau, Delta: edge.File}, schedule.PeakEvent{T: finish[edge.To], Delta: -edge.File})
 	}
 	peaks := make([]int64, k)
 	for p, pe := range evs {
-		peaks[p] = sweepPeak(pe)
+		peaks[p] = schedule.SweepPeak(pe)
 	}
 	return peaks
 }

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/daggen"
+	"repro/internal/multi"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 )
@@ -30,18 +30,20 @@ func TestMemoryPeaksMatchesReferenceOnHeuristicSchedules(t *testing.T) {
 			for _, alpha := range []float64{0.3, 0.6, 2} {
 				bound := int64(alpha * float64(total))
 				p := platform.New(2, 2, bound, bound)
-				for _, name := range core.Names() {
-					run, err := core.ByName(name)
+				for _, name := range multi.Names() {
+					run, err := multi.ByName(name)
 					if err != nil {
 						t.Fatal(err)
 					}
-					s, err := run(ctx, g, p, core.Options{Seed: seed})
-					if errors.Is(err, core.ErrMemoryBound) {
+					ms, err := run(ctx, multi.FromDual(g), multi.FromDualPlatform(p), multi.Options{Seed: seed})
+					if errors.Is(err, multi.ErrMemoryBound) {
 						continue
 					}
 					if err != nil {
 						t.Fatalf("%s n=%d seed=%d: %v", name, n, seed, err)
 					}
+					dp, _ := ms.Platform.Dual()
+					s := &schedule.Schedule{Graph: g, Platform: dp, Tasks: ms.Tasks, CommStart: ms.CommStart}
 					blue, red := s.MemoryPeaks()
 					wantBlue, wantRed := schedule.MemoryPeaksReference(s)
 					if blue != wantBlue || red != wantRed {

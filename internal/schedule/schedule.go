@@ -153,31 +153,32 @@ func (s *Schedule) residencies() []residency {
 	return rs
 }
 
-// peakEvent is one residency boundary of the MemoryPeaks sweep: +size when
-// a file's interval opens, -size when it closes.
-type peakEvent struct {
-	t     float64
-	delta int64
+// PeakEvent is one residency boundary of a peak sweep: +size when a file's
+// interval opens, -size when it closes. The k-pool schedules of
+// internal/multi sweep their pools with the same events.
+type PeakEvent struct {
+	T     float64
+	Delta int64
 }
 
 // comparePeakEvents orders sweep events by time, treating times within Eps
 // as equal and then putting releases before acquisitions.
-func comparePeakEvents(a, b peakEvent) int {
-	if math.Abs(a.t-b.t) > Eps {
-		if a.t < b.t {
+func comparePeakEvents(a, b PeakEvent) int {
+	if math.Abs(a.T-b.T) > Eps {
+		if a.T < b.T {
 			return -1
 		}
 		return 1
 	}
-	return cmp.Compare(a.delta, b.delta)
+	return cmp.Compare(a.Delta, b.Delta)
 }
 
-// sweepPeak sorts one memory's events and returns the highest running sum.
-func sweepPeak(evs []peakEvent) int64 {
+// SweepPeak sorts one memory's events and returns the highest running sum.
+func SweepPeak(evs []PeakEvent) int64 {
 	slices.SortFunc(evs, comparePeakEvents)
 	var cur, peak int64
 	for _, e := range evs {
-		cur += e.delta
+		cur += e.Delta
 		if cur > peak {
 			peak = cur
 		}
@@ -208,8 +209,8 @@ func (s *Schedule) MemoryPeaks() (blue, red int64) {
 			n[mem[edge.To]] += 2
 		}
 	}
-	buf := make([]peakEvent, n[0]+n[1])
-	evs := [2][]peakEvent{buf[:0:n[0]], buf[n[0]:n[0]]}
+	buf := make([]PeakEvent, n[0]+n[1])
+	evs := [2][]PeakEvent{buf[:0:n[0]], buf[n[0]:n[0]]}
 	for e, edge := range edges {
 		if edge.File == 0 {
 			continue
@@ -217,14 +218,14 @@ func (s *Schedule) MemoryPeaks() (blue, red int64) {
 		src, dst := mem[edge.From], mem[edge.To]
 		prodStart := s.Tasks[edge.From].Start
 		if src == dst {
-			evs[src] = append(evs[src], peakEvent{prodStart, edge.File}, peakEvent{finish[edge.To], -edge.File})
+			evs[src] = append(evs[src], PeakEvent{prodStart, edge.File}, PeakEvent{finish[edge.To], -edge.File})
 			continue
 		}
 		tau := s.CommStart[e]
-		evs[src] = append(evs[src], peakEvent{prodStart, edge.File}, peakEvent{tau + edge.Comm, -edge.File})
-		evs[dst] = append(evs[dst], peakEvent{tau, edge.File}, peakEvent{finish[edge.To], -edge.File})
+		evs[src] = append(evs[src], PeakEvent{prodStart, edge.File}, PeakEvent{tau + edge.Comm, -edge.File})
+		evs[dst] = append(evs[dst], PeakEvent{tau, edge.File}, PeakEvent{finish[edge.To], -edge.File})
 	}
-	return sweepPeak(evs[0]), sweepPeak(evs[1])
+	return SweepPeak(evs[0]), SweepPeak(evs[1])
 }
 
 // UsageAt returns the amount of memory m occupied at time t (files whose

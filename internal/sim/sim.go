@@ -1,7 +1,7 @@
 // Package sim provides a discrete-event runtime simulator for dual-memory
 // platforms, in the spirit of the StarPU runtime the paper's conclusion
 // proposes as an integration target. Unlike the static heuristics of
-// internal/core — which precompute a full schedule with as-late-as-possible
+// internal/multi — which precompute a full schedule with as-late-as-possible
 // communications — the simulator drives an *online* dispatcher: scheduling
 // decisions happen at runtime events (a processor going idle, a transfer
 // completing), transfers start eagerly at dispatch time, and memory is

@@ -6,9 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/linalg"
+	"repro/internal/multi"
 	"repro/internal/platform"
 )
 
@@ -142,7 +142,7 @@ func TestOnlineVsStaticOnLU(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := platform.New(12, 3, 200, 200)
-	static, err := core.MemMinMin(tctx, g, p, core.Options{Seed: 1})
+	static, err := multi.MemMinMin(tctx, multi.FromDual(g), multi.FromDualPlatform(p), multi.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,16 +20,55 @@ import (
 )
 
 // syncBuf is a goroutine-safe log sink for the slog handlers under test
-// (the server logs from concurrent request goroutines).
+// (the server logs from concurrent request goroutines). The access line of
+// a request is written after its handler returns, so the client can hold
+// the response first: tests read lines with waitFor.
 type syncBuf struct {
-	mu sync.Mutex
-	b  bytes.Buffer
+	mu      sync.Mutex
+	b       bytes.Buffer
+	written chan struct{} // closed (and dropped) by the next Write
 }
 
 func (s *syncBuf) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.written != nil {
+		close(s.written)
+		s.written = nil
+	}
 	return s.b.Write(p)
+}
+
+// waitFor blocks until the sink holds a line containing every one of subs,
+// woken by each write, and returns that line; it fails the test after ten
+// seconds.
+func (s *syncBuf) waitFor(t *testing.T, subs ...string) string {
+	t.Helper()
+	deadline := time.NewTimer(10 * time.Second)
+	defer deadline.Stop()
+	for {
+		s.mu.Lock()
+		for _, line := range strings.Split(s.b.String(), "\n") {
+			found := true
+			for _, sub := range subs {
+				found = found && strings.Contains(line, sub)
+			}
+			if found {
+				s.mu.Unlock()
+				return line
+			}
+		}
+		if s.written == nil {
+			s.written = make(chan struct{})
+		}
+		written := s.written
+		s.mu.Unlock()
+		select {
+		case <-written:
+		case <-deadline.C:
+			t.Fatalf("no log line containing %q within 10s:\n%s", subs, s.String())
+		}
+	}
 }
 
 func (s *syncBuf) String() string {
@@ -115,17 +154,7 @@ func TestAccessLogCarriesRequestID(t *testing.T) {
 	if _, err := client.RegisterGraph(ctx, memsched.PaperExample(), nil); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	line := ""
-	for _, l := range strings.Split(out, "\n") {
-		if strings.Contains(l, `"msg":"request"`) && strings.Contains(l, `"request_id":"log-line-1"`) {
-			line = l
-			break
-		}
-	}
-	if line == "" {
-		t.Fatalf("no access log line for request id log-line-1 in:\n%s", out)
-	}
+	line := buf.waitFor(t, `"msg":"request"`, `"request_id":"log-line-1"`)
 	for _, want := range []string{`"route":"/v1/graphs"`, `"status":200`, `"replica":"test-rep"`, `"method":"POST"`} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("access line missing %s: %s", want, line)
@@ -175,10 +204,7 @@ func TestRefusalLogsAndChainOrder(t *testing.T) {
 	if body.RequestID != id || id == "" {
 		t.Fatalf("429 body request_id = %q, header %q", body.RequestID, id)
 	}
-	out := buf.String()
-	if !strings.Contains(out, `"msg":"rate limited"`) || !strings.Contains(out, fmt.Sprintf("%q", id)) {
-		t.Fatalf("no rate-limit warn carrying %q in:\n%s", id, out)
-	}
+	buf.waitFor(t, `"msg":"rate limited"`, fmt.Sprintf("%q", id))
 }
 
 // TestTraceSpansExplainLatency schedules a graph large enough that

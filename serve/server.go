@@ -17,6 +17,7 @@ import (
 
 	memsched "repro"
 	"repro/internal/memo"
+	"repro/internal/schedule"
 	"repro/internal/trace"
 	"repro/sweep"
 )
@@ -860,21 +861,20 @@ func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 }
 
 func placementsOf(res *memsched.Result) []Placement {
+	var tasks []schedule.TaskPlacement
 	switch {
 	case res.Schedule != nil:
-		out := make([]Placement, len(res.Schedule.Tasks))
-		for i, t := range res.Schedule.Tasks {
-			out[i] = Placement{Task: i, Start: t.Start, Proc: t.Proc}
-		}
-		return out
+		tasks = res.Schedule.Tasks
 	case res.Pools != nil:
-		out := make([]Placement, len(res.Pools.Tasks))
-		for i, t := range res.Pools.Tasks {
-			out[i] = Placement{Task: i, Start: t.Start, Proc: t.Proc}
-		}
-		return out
+		tasks = res.Pools.Tasks
+	default:
+		return nil
 	}
-	return nil
+	out := make([]Placement, len(tasks))
+	for i, t := range tasks {
+		out[i] = Placement{Task: i, Start: t.Start, Proc: t.Proc}
+	}
+	return out
 }
 
 // sweepSpecOf maps a sweep request onto the engine Spec and enforces the

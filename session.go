@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/multi"
 	"repro/internal/sim"
@@ -20,47 +19,46 @@ import (
 )
 
 // Session is the primary scheduling handle: it is created once for a task
-// graph and owns every per-graph memo both engines use — the validated
-// statics, the seeded priority lists and mean ranks, the candidate caches'
-// inputs, and the k-pool engine's recycled scratch buffers. Those memos
-// used to live in process-global single slots; a Session makes them
-// per-graph, concurrency-safe and bounded by construction, so any number of
-// goroutines can call Schedule concurrently on any number of sessions
-// without contending.
+// graph and owns every per-graph memo of the list-scheduling engine — the
+// validated statics, the seeded priority lists and mean ranks, and the
+// warm-start traces. Those memos used to live in process-global single
+// slots; a Session makes them per-graph, concurrency-safe and bounded by
+// construction, so any number of goroutines can call Schedule concurrently
+// on any number of sessions without contending. Run scratch (the candidate
+// slots and staircases of one run) is allocated per call and never kept.
 //
 // A Session built with NewSession carries the graph's dual (blue/red)
-// processing times: scheduling it on a 2-pool platform runs the incremental
-// dual-memory engine, while platforms with another pool count are rejected
-// (the dual times define only two columns). A Session built with
-// WithPoolTimes carries an explicit per-pool timing matrix and always runs
-// the generalised k-pool engine.
+// processing times: it schedules on 2-pool platforms, as the 2-pool
+// instance of the k-pool engine, and returns dual schedules
+// (Result.Schedule); platforms with another pool count are rejected (the
+// dual times define only two columns). A Session built with WithPoolTimes
+// carries an explicit per-pool timing matrix and returns pool schedules
+// (Result.Pools).
 type Session struct {
-	g       *Graph
-	times   [][]float64 // nil = dual times from the graph
-	caches  *core.Caches
-	mcaches *multi.Caches // k-pool memos: ranks, priority lists, statics, validation
+	g      *Graph
+	times  [][]float64     // nil = dual times from the graph
+	inst   *multi.Instance // the times above as an engine instance; immutable
+	caches *multi.Caches   // memos: ranks, priority lists, statics, validation
 
 	mu   sync.Mutex
-	inst *multi.Instance // lazily built for the k-pool engine
-	hash string          // lazily computed canonical content hash
+	hash string // lazily computed canonical content hash
 
 	// Warm-start replay entries, keyed by (scheduler, seed): the committed
 	// placement sequence (and resulting peaks) of the most recent successful
 	// WithWarmStart run, replayed as a verified prefix by the next one when
 	// the platform capacities did not grow. Stored entries are immutable.
 	// Never shared with forks — each fork accumulates its own.
-	warmMu    sync.Mutex
-	warmDual  map[warmKey]*dualWarm
-	warmMulti map[warmKey]*multiWarm
+	warmMu sync.Mutex
+	warm   map[warmKey]*warmEntry
 }
 
 // SessionOption configures a Session at creation.
 type SessionOption func(*Session) error
 
 // WithPoolTimes supplies an explicit Times[task][pool] processing-time
-// matrix, turning the session into a k-pool session: Schedule then always
-// runs the generalised engine and the platform's pool count must match the
-// matrix width. The graph's WBlue/WRed fields are ignored.
+// matrix, turning the session into a k-pool session: Schedule then returns
+// pool schedules and the platform's pool count must match the matrix
+// width. The graph's WBlue/WRed fields are ignored.
 func WithPoolTimes(times [][]float64) SessionOption {
 	return func(s *Session) error {
 		if len(times) != s.g.NumTasks() {
@@ -77,13 +75,18 @@ func NewSession(g *Graph, opts ...SessionOption) (*Session, error) {
 	if g == nil {
 		return nil, errors.New("memsched: nil graph")
 	}
-	s := &Session{g: g, caches: core.NewCaches(), mcaches: multi.NewCaches()}
+	s := &Session{g: g, caches: multi.NewCaches()}
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.caches.Validate(g); err != nil {
+	if s.times != nil {
+		s.inst = multi.NewInstance(g, s.times)
+	} else {
+		s.inst = multi.FromDual(g)
+	}
+	if err := s.caches.ValidateGraph(s.inst); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -117,11 +120,10 @@ func ForkCold() ForkOption {
 // Schedules produced by a fork are bit-identical to the parent's — the
 // memos only cache pure functions of the graph — so forks exist for
 // contention and warm-up: a worker that owns a fork never touches another
-// worker's cache mutexes or recycled buffers. The sweep engine (package
+// worker's cache mutexes. The sweep engine (package
 // sweep) hands one warm fork to each of its workers. The graph hash and the
-// lazily built k-pool instance are shared (both are immutable once
-// computed); warm-start replay traces are not — each fork accumulates its
-// own.
+// engine instance are shared (both are immutable once computed); warm-start
+// replay traces are not — each fork accumulates its own.
 func (s *Session) Fork(opts ...ForkOption) *Session {
 	var cfg forkConfig
 	for _, opt := range opts {
@@ -130,16 +132,14 @@ func (s *Session) Fork(opts ...ForkOption) *Session {
 	f := &Session{
 		g:     s.g,
 		times: s.times,
+		inst:  s.inst,
 		hash:  s.GraphHash(), // memoize once, share the value
 	}
 	if cfg.cold {
-		f.caches, f.mcaches = core.NewCaches(), multi.NewCaches()
+		f.caches = multi.NewCaches()
 	} else {
-		f.caches, f.mcaches = s.caches.Fork(), s.mcaches.Fork()
+		f.caches = s.caches.Fork()
 	}
-	s.mu.Lock()
-	f.inst = s.inst // nil is fine: the fork rebuilds it lazily
-	s.mu.Unlock()
 	return f
 }
 
@@ -171,21 +171,6 @@ func (s *Session) GraphHash() string {
 		}
 	}
 	return s.hash
-}
-
-// instance returns (building lazily) the multi-pool instance of the
-// session: the explicit pool times, or the dual columns of the graph.
-func (s *Session) instance() *multi.Instance {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inst == nil {
-		if s.times != nil {
-			s.inst = multi.NewInstance(s.g, s.times)
-		} else {
-			s.inst = multi.FromDual(s.g)
-		}
-	}
-	return s.inst
 }
 
 // scheduleConfig collects the functional options of one scheduling call.
@@ -296,12 +281,11 @@ type Stats struct {
 	// Makespan of the produced schedule (+Inf when none was produced).
 	Makespan float64
 	// CacheHits / CacheMisses count candidate evaluations served from the
-	// epoch-invalidated memo vs recomputed, by whichever engine ran (the
-	// dual engine memoizes per (task, memory), the k-pool engine per
-	// (task, pool)).
+	// engine's epoch-invalidated (task, pool) memo vs recomputed — on dual
+	// sessions too, where the pools are blue and red.
 	CacheHits, CacheMisses uint64
 	// PoolTasks is the number of tasks committed to each pool, in pool
-	// order (k-pool engine only; nil on the dual path).
+	// order (WithPoolTimes sessions only; nil for dual schedules).
 	PoolTasks []int
 	// ReplayedPlacements is the number of placements committed by verified
 	// trace replay instead of full candidate evaluation (WithWarmStart
@@ -341,15 +325,15 @@ func (st Stats) CacheHitRate() float64 {
 }
 
 // Result couples the schedule produced by a session call with its
-// statistics. Exactly one of Schedule and Pools is set: Schedule on the
-// dual-memory fast path (2-pool platform, dual session), Pools when the
-// generalised k-pool engine ran. The accessor methods dispatch to
-// whichever is present.
+// statistics. Exactly one of Schedule and Pools is set: Schedule for a dual
+// session on a 2-pool platform (the engine's 2-pool schedule projected onto
+// the dual model), Pools for a WithPoolTimes session. The accessor methods
+// dispatch to whichever is present.
 type Result struct {
-	// Schedule is the dual-memory schedule (nil on the k-pool path, and
-	// nil when Optimal proves infeasibility).
+	// Schedule is the dual-memory schedule (nil for WithPoolTimes
+	// sessions, and nil when Optimal proves infeasibility).
 	Schedule *Schedule
-	// Pools is the generalised k-pool schedule (nil on the dual path).
+	// Pools is the k-pool schedule (nil for dual sessions).
 	Pools *PoolSchedule
 	// Stats are the structured statistics of the call.
 	Stats Stats
@@ -398,10 +382,10 @@ func (r *Result) Validate() error {
 // Schedule runs a list-scheduling heuristic for the session's graph on p
 // and returns the schedule with statistics. The heuristic defaults to
 // MemHEFT; select another with WithScheduler (see Schedulers for the
-// registry). Dual sessions on 2-pool platforms run the incremental
-// dual-memory engine; k-pool sessions run the generalised engine. The
-// context cancels the run cooperatively; heuristics that cannot fit the
-// graph in memory return an error wrapping ErrMemoryBound.
+// registry). Every scheduler runs on the one k-pool engine; dual sessions
+// get its 2-pool schedule projected onto the dual model. The context
+// cancels the run cooperatively; heuristics that cannot fit the graph in
+// memory return an error wrapping ErrMemoryBound.
 //
 // Schedule is safe for concurrent use, including concurrent calls on the
 // same session.
@@ -413,141 +397,63 @@ func (s *Session) Schedule(ctx context.Context, p Platform, opts ...ScheduleOpti
 	defer finishPhases()
 	start := time.Now()
 
-	if dp, ok := p.Dual(); ok && s.times == nil {
-		fn, err := core.ByName(cfg.scheduler)
-		if err != nil {
-			return nil, err
-		}
-		name := cfg.scheduler
-		if cfg.insertion {
-			if name != "memheft" {
-				return nil, fmt.Errorf("memsched: WithInsertion requires the memheft scheduler, got %q", cfg.scheduler)
-			}
-			fn, name = core.MemHEFTInsertion, "memheft-insertion"
-		}
-		var rs core.RunStats
-		copt := core.Options{Seed: cfg.seed, Caches: s.caches, Stats: &rs}
-		var key warmKey
-		var rec *core.Trace
-		var prev *dualWarm
-		if cfg.warmStart && !cfg.insertion && ReplayableScheduler(name) {
-			key = warmKey{scheduler: name, seed: cfg.seed}
-			// heft/minmin run on the engine-effective unbounded platform
-			// and record their traces against it.
-			eff := dp
-			if name == "heft" || name == "minmin" {
-				eff = dp.Unbounded()
-			}
-			if prev = s.dualWarmEntry(key); prev != nil {
-				if prev.trace.FullReplayOn(eff) {
-					// Margin shortcut: the recorded fit slacks prove every
-					// step of the trace replays verbatim on eff, so the run
-					// would reproduce the stored schedule bit for bit —
-					// return a clone of it without running the engine. The
-					// stored entry stays anchored at its recording platform,
-					// keeping the margins exact for the rest of the chain.
-					endClone := trace.Start(ctx, "clone")
-					sched := prev.sched.Clone()
-					sched.Platform = eff
-					endClone()
-					res := &Result{
-						Schedule: sched,
-						Stats: Stats{
-							Scheduler:          name,
-							Makespan:           prev.makespan,
-							ReplayedPlacements: len(prev.trace.Cands),
-							WallTime:           time.Since(start),
-						},
-					}
-					if phaseRec != nil {
-						res.Stats.Phases = phasesOf(phaseRec)
-					}
-					res.peaks = append([]int64(nil), prev.peaks...)
-					return res, nil
-				}
-				copt.Replay = prev.trace
-			}
-			rec = &core.Trace{Cands: make([]core.Candidate, 0, s.g.NumTasks())}
-			copt.Record = rec
-		}
-		sched, err := fn(ctx, s.g, dp, copt)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{
-			Schedule: sched,
-			Stats: Stats{
-				Scheduler:          name,
-				Makespan:           rs.Makespan,
-				CacheHits:          rs.CacheHits,
-				CacheMisses:        rs.CacheMisses,
-				ReplayedPlacements: rs.Replayed,
-				ReplayTruncated:    rs.ReplayTruncated,
-				WallTime:           time.Since(start),
-			},
-		}
-		if phaseRec != nil {
-			res.Stats.Phases = phasesOf(phaseRec)
-		}
-		if rec != nil && rec.Complete {
-			// A replay that consumed the whole (complete) trace produced a
-			// schedule bit-identical to the recorded one, so its peaks carry
-			// over; otherwise compute them once here, serving both this
-			// result's PeakResidency and the next replay in the chain.
-			var peaks []int64
-			if prev != nil && prev.trace.Complete && rs.Replayed == len(prev.trace.Cands) {
-				peaks = prev.peaks
-			} else {
-				blue, red := sched.MemoryPeaks()
-				peaks = []int64{blue, red}
-			}
-			s.putDualWarm(key, rec, sched, rs.Makespan, peaks)
-			res.peaks = append([]int64(nil), peaks...)
-		}
-		return res, nil
-	}
-
-	if cfg.insertion {
+	dp, dual := p.Dual()
+	dual = dual && s.times == nil
+	if cfg.insertion && !dual {
 		return nil, errDualSessionOnly("WithInsertion")
 	}
-	in := s.instance()
-	var (
-		msched *PoolSchedule
-		rs     multi.RunStats
-		err    error
-	)
-	mopt := multi.Options{Seed: cfg.seed, Caches: s.mcaches, Stats: &rs}
+	fn, err := multi.ByName(cfg.scheduler)
+	if err != nil {
+		return nil, err
+	}
+	name := cfg.scheduler
+	switch {
+	case cfg.insertion && name != "memheft":
+		return nil, fmt.Errorf("memsched: WithInsertion requires the memheft scheduler, got %q", cfg.scheduler)
+	case cfg.insertion:
+		fn, name = multi.MemHEFTInsertion, "memheft-insertion"
+	case name == "memheft-insertion" && !dual:
+		return nil, fmt.Errorf("memsched: scheduler %q is not available on k-pool platforms", cfg.scheduler)
+	}
+	if dual {
+		// The dual model's platform checks and their error texts.
+		if err := dp.Validate(); err != nil {
+			return nil, err
+		}
+	}
+
+	var rs multi.RunStats
+	mopt := multi.Options{Seed: cfg.seed, Caches: s.caches, Stats: &rs}
 	var key warmKey
 	var rec *multi.Trace
-	var prev *multiWarm
-	if cfg.warmStart && ReplayableScheduler(cfg.scheduler) {
-		key = warmKey{scheduler: cfg.scheduler, seed: cfg.seed}
+	var prev *warmEntry
+	if cfg.warmStart && ReplayableScheduler(name) {
+		key = warmKey{scheduler: name, seed: cfg.seed}
 		// heft/minmin run on the engine-effective unbounded platform and
 		// record their traces against it.
 		eff := p
-		if cfg.scheduler == "heft" || cfg.scheduler == "minmin" {
+		if name == "heft" || name == "minmin" {
 			eff = p.Unbounded()
 		}
-		if prev = s.multiWarmEntry(key); prev != nil {
+		if prev = s.warmEntry(key); prev != nil {
 			if prev.trace.FullReplayOn(eff) {
-				// Margin shortcut — see the dual path above.
+				// Margin shortcut: the recorded fit slacks prove every
+				// step of the trace replays verbatim on eff, so the run
+				// would reproduce the stored schedule bit for bit —
+				// return a clone of it without running the engine. The
+				// stored entry stays anchored at its recording platform,
+				// keeping the margins exact for the rest of the chain.
 				endClone := trace.Start(ctx, "clone")
 				sched := prev.sched.Clone()
 				sched.Platform = eff
 				endClone()
-				res := &Result{
-					Pools: sched,
-					Stats: Stats{
-						Scheduler:          cfg.scheduler,
-						Makespan:           prev.makespan,
-						PoolTasks:          append([]int(nil), prev.poolTasks...),
-						ReplayedPlacements: len(prev.trace.Cands),
-						WallTime:           time.Since(start),
-					},
-				}
-				if phaseRec != nil {
-					res.Stats.Phases = phasesOf(phaseRec)
-				}
+				res := s.result(sched, dual, Stats{
+					Scheduler:          name,
+					Makespan:           prev.makespan,
+					PoolTasks:          append([]int(nil), prev.poolTasks...),
+					ReplayedPlacements: len(prev.trace.Cands),
+					WallTime:           time.Since(start),
+				}, phaseRec)
 				res.peaks = append([]int64(nil), prev.peaks...)
 				return res, nil
 			}
@@ -556,53 +462,68 @@ func (s *Session) Schedule(ctx context.Context, p Platform, opts ...ScheduleOpti
 		rec = &multi.Trace{Cands: make([]multi.Candidate, 0, s.g.NumTasks())}
 		mopt.Record = rec
 	}
-	switch cfg.scheduler {
-	case "memheft":
-		msched, err = multi.MemHEFT(ctx, in, p, mopt)
-	case "memminmin":
-		msched, err = multi.MemMinMin(ctx, in, p, mopt)
-	case "heft":
-		msched, err = multi.MemHEFT(ctx, in, p.Unbounded(), mopt)
-	case "minmin":
-		msched, err = multi.MemMinMin(ctx, in, p.Unbounded(), mopt)
-	default:
-		if _, nerr := core.ByName(cfg.scheduler); nerr != nil {
-			return nil, nerr
-		}
-		return nil, fmt.Errorf("memsched: scheduler %q is not available on k-pool platforms", cfg.scheduler)
-	}
+	sched, err := fn(ctx, s.inst, p, mopt)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Pools: msched,
-		Stats: Stats{
-			Scheduler:          cfg.scheduler,
-			Makespan:           rs.Makespan,
-			CacheHits:          rs.CacheHits,
-			CacheMisses:        rs.CacheMisses,
-			PoolTasks:          rs.PoolTasks,
-			ReplayedPlacements: rs.Replayed,
-			ReplayTruncated:    rs.ReplayTruncated,
-			WallTime:           time.Since(start),
-		},
-	}
-	if phaseRec != nil {
-		res.Stats.Phases = phasesOf(phaseRec)
-	}
+	res := s.result(sched, dual, Stats{
+		Scheduler:          name,
+		Makespan:           rs.Makespan,
+		CacheHits:          rs.CacheHits,
+		CacheMisses:        rs.CacheMisses,
+		PoolTasks:          rs.PoolTasks,
+		ReplayedPlacements: rs.Replayed,
+		ReplayTruncated:    rs.ReplayTruncated,
+		WallTime:           time.Since(start),
+	}, phaseRec)
 	if rec != nil && rec.Complete {
-		// Same peak carry-over as the dual path: a full replay of a
-		// complete trace reproduced the recorded schedule bit for bit.
+		// A replay that consumed the whole (complete) trace produced a
+		// schedule bit-identical to the recorded one, so its peaks carry
+		// over; otherwise compute them once here, serving both this
+		// result's PeakResidency and the next replay in the chain.
 		var peaks []int64
 		if prev != nil && prev.trace.Complete && rs.Replayed == len(prev.trace.Cands) {
 			peaks = prev.peaks
 		} else {
-			peaks = msched.MemoryPeaks()
+			peaks = sched.MemoryPeaks()
 		}
-		s.putMultiWarm(key, rec, msched, rs.Makespan, rs.PoolTasks, peaks)
+		s.putWarm(key, rec, sched, rs.Makespan, rs.PoolTasks, peaks)
 		res.peaks = append([]int64(nil), peaks...)
 	}
 	return res, nil
+}
+
+// result wraps an engine schedule for the caller: dual sessions get it
+// projected onto the dual model (Result.Schedule, no per-pool task
+// counts), WithPoolTimes sessions get it as is (Result.Pools).
+func (s *Session) result(sched *PoolSchedule, dual bool, st Stats, phaseRec *trace.Recorder) *Result {
+	res := &Result{Stats: st}
+	if dual {
+		res.Schedule = projectDual(s.g, sched)
+		res.Stats.PoolTasks = nil
+	} else {
+		res.Pools = sched
+	}
+	if phaseRec != nil {
+		res.Stats.Phases = phasesOf(phaseRec)
+	}
+	return res
+}
+
+// projectDual views a 2-pool schedule of g as a dual-memory one: pool 0 is
+// blue, pool 1 red, and the global processor numbering already matches the
+// dual model's, so the placements and communication starts are shared, not
+// copied.
+func projectDual(g *Graph, sched *PoolSchedule) *Schedule {
+	dp, _ := sched.Platform.Dual()
+	return &Schedule{Graph: g, Platform: dp, Tasks: sched.Tasks, CommStart: sched.CommStart}
+}
+
+// liftDual is the inverse of projectDual: it views a dual schedule as a
+// 2-pool schedule of in (which must be g's lifted instance), sharing the
+// placements.
+func liftDual(in *multi.Instance, sched *Schedule) *PoolSchedule {
+	return &PoolSchedule{Inst: in, Platform: multi.FromDualPlatform(sched.Platform), Tasks: sched.Tasks, CommStart: sched.CommStart}
 }
 
 // Optimal runs the branch-and-bound search for the best list schedule of
@@ -619,14 +540,25 @@ func (s *Session) Optimal(ctx context.Context, p Platform, opts ...ScheduleOptio
 	if !ok || s.times != nil {
 		return nil, errDualSessionOnly("Optimal")
 	}
+	if err := dp.Validate(); err != nil {
+		return nil, err
+	}
 	ctx, phaseRec, finishPhases := beginPhases(ctx)
 	defer finishPhases()
 	start := time.Now()
+	var incumbent *PoolSchedule
+	if cfg.incumbent != nil {
+		in := s.inst
+		if cfg.incumbent.Graph != s.g {
+			in = multi.FromDual(cfg.incumbent.Graph)
+		}
+		incumbent = liftDual(in, cfg.incumbent)
+	}
 	endSearch := trace.Start(ctx, "search")
-	res, err := exact.Solve(ctx, s.g, dp, exact.Options{
+	res, err := exact.Solve(ctx, s.inst, p, exact.Options{
 		MaxNodes:  cfg.maxNodes,
 		Timeout:   cfg.timeout,
-		Incumbent: cfg.incumbent,
+		Incumbent: incumbent,
 		Caches:    s.caches,
 	})
 	endSearch()
@@ -634,7 +566,6 @@ func (s *Session) Optimal(ctx context.Context, p Platform, opts ...ScheduleOptio
 		return nil, err
 	}
 	out := &Result{
-		Schedule: res.Schedule,
 		Stats: Stats{
 			Scheduler: "optimal",
 			Makespan:  res.Makespan,
@@ -642,6 +573,13 @@ func (s *Session) Optimal(ctx context.Context, p Platform, opts ...ScheduleOptio
 			Proven:    res.Status == exact.Optimal || res.Status == exact.Infeasible,
 			WallTime:  time.Since(start),
 		},
+	}
+	switch {
+	case res.Schedule == nil:
+	case res.Schedule == incumbent:
+		out.Schedule = cfg.incumbent // nothing better: hand the caller's schedule back
+	default:
+		out.Schedule = projectDual(s.g, res.Schedule)
 	}
 	if phaseRec != nil {
 		out.Stats.Phases = phasesOf(phaseRec)
@@ -700,4 +638,4 @@ func (s *Session) LowerBound(p Platform) (float64, error) {
 // Schedulers returns the names registered with the scheduler registry,
 // sorted; WithScheduler and SchedulerByName accept any of them
 // (case-insensitively).
-func Schedulers() []string { return core.Names() }
+func Schedulers() []string { return multi.Names() }

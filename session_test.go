@@ -9,21 +9,24 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/daggen"
-	"repro/internal/platform"
+	"repro/internal/multi"
 	"repro/internal/schedule"
 )
 
-// dualOf converts a facade 2-pool platform to the internal dual form for
-// the reference oracles.
-func dualOf(t *testing.T, p Platform) platform.Platform {
-	t.Helper()
-	dp, ok := p.Dual()
-	if !ok {
-		t.Fatal("not a 2-pool platform")
+// dualOracle is a reference scheduler producing dual schedules.
+type dualOracle func(ctx context.Context, g *Graph, p Platform, seed int64) (*Schedule, error)
+
+// dualReference runs one of the engine's naive reference oracles on g's
+// lifted 2-pool instance and projects its schedule onto the dual model.
+func dualReference(oracle multi.Func) dualOracle {
+	return func(ctx context.Context, g *Graph, p Platform, seed int64) (*Schedule, error) {
+		sched, err := oracle(ctx, multi.FromDual(g), p, multi.Options{Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		return projectDual(g, sched), nil
 	}
-	return dp
 }
 
 // sameDualSchedule compares placements and communication starts with exact
@@ -70,9 +73,9 @@ func TestSessionGoldenEquivalence(t *testing.T) {
 	if peaks[1] > peak {
 		peak = peaks[1]
 	}
-	oracles := map[string]core.Func{
-		"memheft":   core.MemHEFTReference,
-		"memminmin": core.MemMinMinReference,
+	oracles := map[string]dualOracle{
+		"memheft":   dualReference(multi.MemHEFTReference),
+		"memminmin": dualReference(multi.MemMinMinReference),
 	}
 	for _, alpha := range []float64{0.3, 0.5, 0.8, 1.0} {
 		bound := int64(alpha * float64(peak))
@@ -82,7 +85,7 @@ func TestSessionGoldenEquivalence(t *testing.T) {
 			// session's warm memos and must not diverge.
 			for round := 0; round < 2; round++ {
 				res, gotErr := sess.Schedule(ctx, p, WithScheduler(name), WithSeed(41))
-				want, wantErr := oracle(ctx, g, dualOf(t, p), core.Options{Seed: 41})
+				want, wantErr := oracle(ctx, g, p, 41)
 				if (gotErr == nil) != (wantErr == nil) {
 					t.Fatalf("%s alpha=%g: session err=%v, reference err=%v", name, alpha, gotErr, wantErr)
 				}
@@ -102,9 +105,9 @@ func TestSessionGoldenEquivalence(t *testing.T) {
 }
 
 // TestSessionDualAsTwoPool checks the collapsed surface both ways: a
-// pool-times session carrying the dual columns (forced through the
-// generalised k-pool engine) must reproduce the dual engine's placements
-// exactly on the same 2-pool platform.
+// pool-times session carrying the dual columns must reproduce a dual
+// session's placements exactly on the same 2-pool platform, returned as a
+// pool schedule rather than a projected dual one.
 func TestSessionDualAsTwoPool(t *testing.T) {
 	ctx := context.Background()
 	g, err := daggen.Generate(daggen.SmallParams(), 17)
@@ -185,11 +188,11 @@ func TestConcurrentSessionsDifferentGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := map[string]*schedule.Schedule{}
-		for name, oracle := range map[string]core.Func{
-			"memheft":   core.MemHEFTReference,
-			"memminmin": core.MemMinMinReference,
+		for name, oracle := range map[string]dualOracle{
+			"memheft":   dualReference(multi.MemHEFTReference),
+			"memminmin": dualReference(multi.MemMinMinReference),
 		} {
-			s, err := oracle(ctx, g, dualOf(t, p), core.Options{Seed: 9})
+			s, err := oracle(ctx, g, p, 9)
 			if err != nil {
 				t.Fatalf("reference %s: %v", name, err)
 			}
@@ -241,12 +244,17 @@ func TestSchedulerRegistry(t *testing.T) {
 			t.Fatalf("registry not sorted: %v", names)
 		}
 	}
+	sess, err := NewSession(PaperExample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewDualPlatform(1, 1, 10, 10)
 	for _, variant := range []string{"memheft", "MemHEFT", "MEMHEFT", "  memheft "} {
-		if _, err := SchedulerByName(variant); err != nil {
-			t.Fatalf("SchedulerByName(%q): %v", variant, err)
+		if _, err := sess.Schedule(context.Background(), p, WithScheduler(variant)); err != nil {
+			t.Fatalf("WithScheduler(%q): %v", variant, err)
 		}
 	}
-	_, err := SchedulerByName("bogus")
+	_, err = sess.Schedule(context.Background(), p, WithScheduler("bogus"))
 	if err == nil {
 		t.Fatal("bogus scheduler accepted")
 	}
@@ -255,12 +263,6 @@ func TestSchedulerRegistry(t *testing.T) {
 			t.Fatalf("registry error %q does not list %q", err, name)
 		}
 	}
-	// WithScheduler goes through the same registry.
-	sess, err := NewSession(PaperExample())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewDualPlatform(1, 1, 10, 10)
 	if _, err := sess.Schedule(context.Background(), p, WithScheduler("MemMinMin")); err != nil {
 		t.Fatalf("case-insensitive WithScheduler: %v", err)
 	}
@@ -361,9 +363,8 @@ func TestSessionStats(t *testing.T) {
 }
 
 // TestSessionKPoolRouting checks the platform-arity rules: dual sessions
-// reject non-2-pool platforms, insertion requires the dual engine, and the
-// deprecated flat API keeps working against 2-pool platforms while
-// rejecting others.
+// reject non-2-pool platforms, and insertion requires a dual session and
+// the memheft scheduler.
 func TestSessionKPoolRouting(t *testing.T) {
 	ctx := context.Background()
 	g := PaperExample()
@@ -391,13 +392,6 @@ func TestSessionKPoolRouting(t *testing.T) {
 	}
 	if res.Stats.Scheduler != "memheft-insertion" {
 		t.Fatalf("insertion run recorded as %q", res.Stats.Scheduler)
-	}
-	// Deprecated flat API on the unified platform type.
-	if _, err := MemHEFT(g, p, Options{Seed: 1}); err != nil {
-		t.Fatalf("deprecated MemHEFT: %v", err)
-	}
-	if _, err := MemHEFT(g, three, Options{}); err == nil {
-		t.Fatal("deprecated MemHEFT accepted a 3-pool platform")
 	}
 }
 

@@ -7,7 +7,7 @@
 // (Platforms or Alphas × Schedulers × Seeds) or an explicit Points list.
 // Run and Stream execute it on a bounded worker pool; every worker owns a
 // warm copy-on-write fork of the Session (see memsched.Session.Fork), so
-// the hot path shares no cache mutexes or recycled buffers between workers
+// the hot path shares no cache mutexes between workers
 // and throughput scales with cores. Results are delivered ordered by point
 // index regardless of completion order, and are bit-identical for every
 // worker count — each point is a pure function of (graph, platform,
